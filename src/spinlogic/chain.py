@@ -22,7 +22,7 @@ swapping bits k and k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,7 +34,12 @@ MAX_FULL_SPINS = 8
 
 @dataclass(frozen=True)
 class Subspace:
-    """A fixed-excitation sector (or the full space, n_excitations=None)."""
+    """A fixed-excitation sector (or the full space, n_excitations=None).
+
+    Bond eigensystems are cached on the instance; enumerate_subspace and
+    full_space hand out one shared instance per sector, so every caller reuses
+    them without hashing the states.
+    """
 
     n_spins: int
     n_excitations: int | None
@@ -46,19 +51,43 @@ class Subspace:
 
     def index_of(self, pattern: int) -> int:
         try:
-            return _pattern_index(self.states)[pattern]
+            return self._pattern_index[pattern]
         except KeyError:
             raise ValueError(f"pattern {pattern:#08b} is not in this subspace") from None
 
     def bitstring(self, pattern: int) -> str:
         return format(pattern, f"0{self.n_spins}b")
 
+    @cached_property
+    def _pattern_index(self) -> dict[int, int]:
+        return {s: i for i, s in enumerate(self.states)}
 
-@lru_cache(maxsize=None)
-def _pattern_index(states: tuple[int, ...]) -> dict[int, int]:
-    return {s: i for i, s in enumerate(states)}
+    @cached_property
+    def bond_eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(eigenvalues, eigenvector columns) of every bond generator, bond 0 first."""
+        return tuple(
+            linalg.eig_hermitian(build_bond_hamiltonian(bond, self)) for bond in range(self.n_spins - 1)
+        )
+
+    @cached_property
+    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per bond: V and V^dagger as C-contiguous complex arrays, and -1j * eigenvalues.
+
+        These are what apply_bond_pulse multiplies by. Complex C-ordered copies
+        give products bit-identical to the real eigenvectors (numpy casts those
+        the same way); F-ordered copies do not.
+        """
+        return tuple(
+            (
+                np.ascontiguousarray(vectors, dtype=np.complex128),
+                np.ascontiguousarray(vectors.conj().T, dtype=np.complex128),
+                -1j * values,
+            )
+            for values, vectors in self.bond_eigensystems
+        )
 
 
+@cache
 def enumerate_subspace(n_spins: int, n_excitations: int) -> Subspace:
     """All patterns of n_spins bits with exactly n_excitations set, ascending."""
     if not 1 <= n_spins <= MAX_SECTOR_SPINS:
@@ -69,18 +98,21 @@ def enumerate_subspace(n_spins: int, n_excitations: int) -> Subspace:
     return Subspace(n_spins, n_excitations, states)
 
 
+@cache
 def full_space(n_spins: int) -> Subspace:
     if not 1 <= n_spins <= MAX_FULL_SPINS:
         raise ValueError(f"full-space evolution is capped at {MAX_FULL_SPINS} spins, got {n_spins}")
     return Subspace(n_spins, None, tuple(range(1 << n_spins)))
 
 
+def _bond_error(bond: int, subspace: Subspace) -> ValueError:
+    return ValueError(f"bond {bond} needs spins {bond} and {bond + 1}; chain has {subspace.n_spins} spins")
+
+
 def build_bond_hamiltonian(bond: int, subspace: Subspace) -> np.ndarray:
     """Exchange generator of bond k on the subspace basis (real symmetric)."""
     if not 0 <= bond <= subspace.n_spins - 2:
-        raise ValueError(
-            f"bond {bond} needs spins {bond} and {bond + 1}; chain has {subspace.n_spins} spins"
-        )
+        raise _bond_error(bond, subspace)
     dim = subspace.dim
     matrix = np.zeros((dim, dim))
     mask = (1 << bond) | (1 << (bond + 1))
@@ -93,24 +125,25 @@ def build_bond_hamiltonian(bond: int, subspace: Subspace) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=None)
-def _bond_eigensystem_cached(bond: int, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    return linalg.eig_hermitian(build_bond_hamiltonian(bond, subspace))
-
-
 def bond_eigensystem(bond: int, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Cached eigendecomposition of V_bond on the subspace. Do not mutate the result."""
-    return _bond_eigensystem_cached(bond, subspace)
+    if not 0 <= bond <= subspace.n_spins - 2:
+        raise _bond_error(bond, subspace)
+    return subspace.bond_eigensystems[bond]
 
 
 def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
     """exp(-i V_bond t) applied to a vector or a (dim, m) column block."""
-    values, vectors = bond_eigensystem(bond, subspace)
-    rotated = vectors.conj().T @ np.asarray(state, dtype=np.complex128)
-    phases = np.exp(-1j * values * duration)
+    factors = subspace.bond_factors
+    if not 0 <= bond < len(factors):
+        raise _bond_error(bond, subspace)
+    vectors, adjoint, minus_i_values = factors[bond]
+    # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
+    rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
+    phases = np.exp(minus_i_values * duration)
     if rotated.ndim == 2:
-        return vectors @ (phases[:, None] * rotated)
-    return vectors @ (phases * rotated)
+        return vectors.dot(phases[:, None] * rotated)
+    return vectors.dot(phases * rotated)
 
 
 def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:

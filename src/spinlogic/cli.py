@@ -190,6 +190,9 @@ def _build_checks(corrupt_t2: float | None, verbose_swap_phase: bool):
 
 
 def cmd_verify(args) -> int:
+    if args.corrupt_t2 is not None and not math.isfinite(args.corrupt_t2):
+        print(f"--corrupt-t2 must be a finite duration, got {args.corrupt_t2!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     checks = _build_checks(args.corrupt_t2, verbose_swap_phase=True)
     names = [name for name, _ in checks]
     if args.check is not None:
@@ -220,7 +223,10 @@ def _parse_amplitudes(raw: list[str], expected: int) -> np.ndarray:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad amplitude {chunk!r}; format is re,im")
-        amps.append(complex(float(parts[0]), float(parts[1])))
+        amp = complex(float(parts[0]), float(parts[1]))
+        if not cmath.isfinite(amp):
+            raise ValueError(f"amplitude {chunk!r} is not finite")
+        amps.append(amp)
     amps = np.array(amps, dtype=np.complex128)
     norm = float(np.sum(np.abs(amps) ** 2))
     if abs(norm - 1.0) > encoding.NORMALIZATION_ATOL:

@@ -102,7 +102,7 @@ def encode(amplitudes: np.ndarray, frame: LogicalFrame) -> np.ndarray:
     if amps.ndim != 1 or not 1 <= amps.shape[0] <= frame.n_columns:
         raise ValueError(f"expected 1..{frame.n_columns} amplitudes, got shape {amps.shape}")
     norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > NORMALIZATION_ATOL:
+    if not abs(norm - 1.0) <= NORMALIZATION_ATOL:  # also rejects NaN
         raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm:.12g}")
     return frame.vectors[:, : amps.shape[0]] @ amps
 

@@ -147,8 +147,6 @@ def simulate(sequence: PulseSequence, state: np.ndarray, subspace: chain.Subspac
     psi = np.asarray(state, dtype=np.complex128)
     if psi.shape[0] != subspace.dim:
         raise ValueError(f"state dimension {psi.shape[0]} does not match sector dimension {subspace.dim}")
-    if sequence.pulses and sequence.max_bond() > subspace.n_spins - 2:
-        raise ValueError(f"sequence {sequence.name} needs bond {sequence.max_bond()}; sector has {subspace.n_spins} spins")
     for pulse in sequence:
         psi = chain.apply_bond_pulse(pulse.bond, pulse.duration, psi, subspace)
     return psi

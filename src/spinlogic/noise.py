@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import chain, encoding, gates
-from .pulses import PulseSequence
+from .pulses import Pulse, PulseSequence
 
 DEFAULT_SEED = 123456789
 DEFAULT_N_RUNS = 1000
@@ -107,27 +108,19 @@ def perturb(sequence: PulseSequence, noise: NoiseModel, rng: np.random.Generator
     """Copy of the sequence with Gaussian duration deviations; tags are dropped."""
     n = len(sequence)
     if noise.mode == "common":
-        deltas = np.full(n, rng.normal(0.0, noise.epsilon))
+        deltas = [rng.normal(0.0, noise.epsilon)] * n
     else:
-        deltas = rng.normal(0.0, noise.epsilon, size=n)
-    pulses = tuple(
-        replace(pulse, duration=pulse.duration + float(d), tag="")
-        for pulse, d in zip(sequence.pulses, deltas)
-    )
+        deltas = rng.normal(0.0, noise.epsilon, size=n).tolist()
+    pulses = tuple(Pulse(pulse.bond, pulse.duration + d) for pulse, d in zip(sequence.pulses, deltas))
     return PulseSequence(sequence.name, pulses)
 
 
-_LAB = None
-
-
+@cache
 def _lab():
     """Shared frame, ideal swap targets and sequence (built once)."""
-    global _LAB
-    if _LAB is None:
-        frame = encoding.pair_frame()
-        targets = frame.vectors[:, [gates.SWAP_PERMUTATION[i] for i in range(4)]]
-        _LAB = (frame, targets, gates.swap_sequence())
-    return _LAB
+    frame = encoding.pair_frame()
+    targets = frame.vectors[:, [gates.SWAP_PERMUTATION[i] for i in range(4)]]
+    return frame, targets, gates.swap_sequence()
 
 
 def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
@@ -159,17 +152,17 @@ def _max_wrapped_spread(phases: np.ndarray) -> float:
     return float(np.minimum(diffs, 2 * math.pi - diffs).max())
 
 
-def _run_trial(eps: float, p_mode: str, q_mode: str, rng: np.random.Generator) -> tuple[float, float, bool, float]:
+def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float, bool, float]:
     """One Monte-Carlo trial; draw order (state, P deltas, Q deltas) is frozen."""
     frame, targets, ideal = _lab()
     initial = int(rng.integers(4))
 
-    p_seq = perturb(ideal, NoiseModel(eps, mode=p_mode), rng)
+    p_seq = perturb(ideal, p_noise, rng)
     psi = gates.simulate(p_seq, frame.vectors[:, initial], frame.subspace)
     p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
     norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
 
-    q_seq = perturb(ideal, NoiseModel(eps, mode=q_mode), rng)
+    q_seq = perturb(ideal, q_noise, rng)
     evolved = gates.simulate(q_seq, frame.vectors[:, :4], frame.subspace)
     norm_err = max(norm_err, float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()))
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
@@ -210,10 +203,12 @@ def sweep(
         q_vals = np.empty(n_runs)
         defined = np.empty(n_runs, dtype=bool)
         norm_errs = np.empty(n_runs)
+        p_noise = NoiseModel(eps, seed, p_mode)
+        q_noise = NoiseModel(eps, seed, q_mode)
 
-        def run(trial_index: int, _eps=eps, _ei=eps_index) -> None:
+        def run(trial_index: int, _ei=eps_index, _p=p_noise, _q=q_noise) -> None:
             rng = np.random.default_rng(np.random.SeedSequence([seed, _ei, trial_index]))
-            p, q, ok, nrm = _run_trial(_eps, p_mode, q_mode, rng)
+            p, q, ok, nrm = _run_trial(_p, _q, rng)
             p_vals[trial_index] = p
             q_vals[trial_index] = q
             defined[trial_index] = ok

@@ -38,9 +38,6 @@ class PulseSequence:
     def __len__(self) -> int:
         return len(self.pulses)
 
-    def max_bond(self) -> int:
-        return max((p.bond for p in self.pulses), default=0)
-
     def product_string(self) -> str:
         """Operator-product notation, rightmost factor acting first."""
         factors = [f"V{p.bond}({p.tag or format(p.duration, '.6g')})" for p in reversed(self.pulses)]

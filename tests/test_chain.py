@@ -172,3 +172,32 @@ def test_embed_and_restrict_round_trip():
     amps /= np.linalg.norm(amps)
     back = chain.restrict_to_sector(chain.embed_in_full_space(amps, sector), sector)
     assert np.abs(back - amps).max() == 0.0
+
+
+@pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
+def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space):
+    # V exp(-i lambda t) V^dagger psi, from the real eigensystem, exactly as
+    # first written: the cached complex factors must not move a single bit
+    n_spins, n_excitations = space
+    sub = chain.full_space(n_spins) if n_excitations is None else chain.enumerate_subspace(n_spins, n_excitations)
+    rng = np.random.default_rng(11)
+    vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
+    block = rng.normal(size=(sub.dim, 5)) + 1j * rng.normal(size=(sub.dim, 5))
+    for bond in range(n_spins - 1):
+        values, vectors = chain.bond_eigensystem(bond, sub)
+        for t in (-0.3, 0.5, 3.7):
+            phases = np.exp(-1j * values * t)
+            for state, weights in ((vec, phases), (block, phases[:, None])):
+                expect = vectors @ (weights * (vectors.conj().T @ state))
+                assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect)
+
+
+def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
+    sub = chain.enumerate_subspace(6, 2)
+    psi = np.zeros(sub.dim, dtype=np.complex128)
+    psi[0] = 1.0
+    for bond in (-1, 5):
+        with pytest.raises(ValueError, match="bond"):
+            chain.apply_bond_pulse(bond, 0.5, psi, sub)
+    with pytest.raises(ValueError):
+        chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)

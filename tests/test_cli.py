@@ -39,6 +39,14 @@ def test_verify_fails_with_corrupted_timing(capsys):
     assert "flip" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_corrupt_t2(capsys, value):
+    assert run_cli("verify", f"--corrupt-t2={value}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"--corrupt-t2 must be a finite duration, got {float(value)!r}"]
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -73,6 +81,14 @@ def test_simulate_rejects_bad_input(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("simulate", "--gate", "X", "--state", "1,0", "0,0")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("state", [("1,0", "nan,0"), ("nan,nan", "0,0"), ("1,inf", "0,0")])
+def test_simulate_rejects_non_finite_amplitudes(capsys, state):
+    assert run_cli("simulate", "--gate", "F", "--state", *state) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err
 
 
 # ---------------------------------------------------------------- schedules

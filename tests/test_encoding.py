@@ -70,6 +70,8 @@ def test_encode_produces_the_expected_physical_state(frame_a):
 def test_encode_rejects_unnormalized_input(frame_a):
     with pytest.raises(ValueError, match="not normalized"):
         encoding.encode(np.array([1.0, 1.0]), frame_a)
+    with pytest.raises(ValueError, match="not normalized"):
+        encoding.encode(np.array([1.0, np.nan]), frame_a)
     with pytest.raises(ValueError, match="amplitudes"):
         encoding.encode(np.ones((2, 2)), frame_a)
 

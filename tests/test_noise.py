@@ -265,7 +265,8 @@ def test_fit_json_shape():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_trials_conserve_the_norm(seed):
     rng = np.random.default_rng(seed)
-    _, _, _, norm_err = noise._run_trial(1e-2, "common", "independent", rng)
+    common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
+    _, _, _, norm_err = noise._run_trial(common, independent, rng)
     assert norm_err < 1e-12
 
 
