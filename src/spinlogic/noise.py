@@ -62,7 +62,6 @@ CSV_HEADER = "epsilon,n_runs,mean_P,std_P,stderr_P,mean_Q,std_Q,stderr_Q,exclude
 @dataclass(frozen=True)
 class NoiseModel:
     epsilon: float
-    seed: int = DEFAULT_SEED
     mode: str = "independent"
 
     def __post_init__(self) -> None:
@@ -129,8 +128,7 @@ def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
         raise ValueError(f"initial_index must be 0..3, got {initial_index}")
     frame, targets, _ = _lab()
     psi = gates.simulate(perturbed, frame.vectors[:, initial_index], frame.subspace)
-    overlap = np.vdot(targets[:, initial_index], psi)
-    return abs(1.0 - abs(overlap) ** 2)
+    return _probability_error_of(targets[:, initial_index], psi)
 
 
 def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
@@ -140,35 +138,34 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
     the phase undefined and the trial must be excluded.
     """
     frame, targets, _ = _lab()
-    evolved = gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace)
+    return _phase_error_of(targets, gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace))
+
+
+def _probability_error_of(target: np.ndarray, psi: np.ndarray) -> float:
+    return abs(1.0 - abs(np.vdot(target, psi)) ** 2)
+
+
+def _phase_error_of(targets: np.ndarray, evolved: np.ndarray) -> tuple[float, bool]:
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
     if np.abs(overlaps).min() < OVERLAP_FLOOR:
         return math.nan, False
-    return _max_wrapped_spread(np.angle(overlaps)), True
-
-
-def _max_wrapped_spread(phases: np.ndarray) -> float:
+    phases = np.angle(overlaps)
     diffs = np.abs(phases[:, None] - phases[None, :])
-    return float(np.minimum(diffs, 2 * math.pi - diffs).max())
+    return float(np.minimum(diffs, 2 * math.pi - diffs).max()), True
 
 
 def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float, bool, float]:
     """One Monte-Carlo trial; draw order (state, P deltas, Q deltas) is frozen."""
     frame, targets, ideal = _lab()
     initial = int(rng.integers(4))
-
-    p_seq = perturb(ideal, p_noise, rng)
-    psi = gates.simulate(p_seq, frame.vectors[:, initial], frame.subspace)
-    p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
-    norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
-
-    q_seq = perturb(ideal, q_noise, rng)
-    evolved = gates.simulate(q_seq, frame.vectors[:, :4], frame.subspace)
-    norm_err = max(norm_err, float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()))
-    overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
-    if np.abs(overlaps).min() < OVERLAP_FLOOR:
-        return p_value, math.nan, False, norm_err
-    return p_value, _max_wrapped_spread(np.angle(overlaps)), True, norm_err
+    psi = gates.simulate(perturb(ideal, p_noise, rng), frame.vectors[:, initial], frame.subspace)
+    evolved = gates.simulate(perturb(ideal, q_noise, rng), frame.vectors[:, :4], frame.subspace)
+    norm_err = max(
+        abs(float(np.linalg.norm(psi)) - 1.0),
+        float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()),
+    )
+    q_value, defined = _phase_error_of(targets, evolved)
+    return _probability_error_of(targets[:, initial], psi), q_value, defined, norm_err
 
 
 def sweep(
@@ -192,6 +189,8 @@ def sweep(
     if n_workers < 1:
         raise ValueError(f"n_workers must be positive, got {n_workers}")
     eps_grid = [float(e) for e in eps_grid]
+    if not eps_grid:
+        raise ValueError("the epsilon grid is empty")
     for eps in eps_grid:
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"epsilon values must be finite and nonnegative, got {eps!r}")
@@ -203,8 +202,8 @@ def sweep(
         q_vals = np.empty(n_runs)
         defined = np.empty(n_runs, dtype=bool)
         norm_errs = np.empty(n_runs)
-        p_noise = NoiseModel(eps, seed, p_mode)
-        q_noise = NoiseModel(eps, seed, q_mode)
+        p_noise = NoiseModel(eps, p_mode)
+        q_noise = NoiseModel(eps, q_mode)
 
         def run(trial_index: int, _ei=eps_index, _p=p_noise, _q=q_noise) -> None:
             rng = np.random.default_rng(np.random.SeedSequence([seed, _ei, trial_index]))

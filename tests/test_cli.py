@@ -15,10 +15,15 @@ def run_cli(*argv) -> int:
 def test_verify_passes_and_lists_every_check(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
-    for name in ("flip-gate", "hadamard-gate", "phase-gate", "swap-gate",
-                 "cycle-permutation", "full-space-oracle", "auxiliary-decoupling"):
-        assert name in out
-    assert "FAIL" not in out
+    verdicts = [line.split() for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [words[1] for words in verdicts] == [
+        "frame-orthonormality", "auxiliary-decoupling", "logical-projection",
+        "flip-annihilation", "flip-gate", "flip-phase-condition", "hadamard-gate",
+        "phase-gate", "spin-swap-phase", "cycle-permutation", "swap-gate",
+        "swap-phase", "full-space-oracle",
+    ]
+    assert {words[0] for words in verdicts} == {"PASS"}
+    assert out.splitlines()[-1] == "all 13 checks passed"
 
 
 def test_verify_single_check_prints_the_measured_swap_phase(capsys):
@@ -138,6 +143,15 @@ def test_export_schedule_to_file_and_other_gates(tmp_path, capsys):
     assert run_cli("export-schedule", "--gate", "P") == 2  # theta missing
 
 
+def test_export_schedule_to_a_missing_directory_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "swap.schedule"
+    assert run_cli("export-schedule", "--gate", "SWAP", "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "swap.schedule" in captured.err
+
+
 # ---------------------------------------------------------------- sweep and fit
 
 
@@ -166,6 +180,27 @@ def test_degenerate_sweep_refuses_the_fit(tmp_path, capsys):
     assert run_cli("sweep", "--eps", "0", "--n-runs", "10", "--out", str(out)) == 0
     printed = capsys.readouterr().out
     assert "fit refused" in printed
+
+
+def test_sweep_to_a_missing_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(noise, "sweep", no_trials)
+    target = tmp_path / "no-such-dir" / "sweep.csv"
+    assert run_cli("sweep", "--eps", "1e-3,2e-3", "--n-runs", "10", "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "sweep.csv" in captured.err
+
+
+def test_sweep_over_an_empty_grid_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert run_cli("sweep", "--eps-points", "0", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["the epsilon grid is empty"]
 
 
 def test_seed_from_environment_is_echoed(tmp_path, capsys, monkeypatch):
@@ -214,6 +249,18 @@ def test_fit_command_refits_a_csv(tmp_path, capsys):
     assert '"channel": "P"' in printed
     assert '"channel": "Q"' in printed
     assert "low-statistics" in printed
+
+
+def test_refused_fit_with_asserted_bands_is_a_verification_failure(tmp_path, capsys):
+    csv = tmp_path / "zero.csv"
+    csv.write_text(noise.CSV_HEADER + "\n" + "".join(
+        f"{eps},1000,0,0,0,0,0,0,0\n" for eps in (1e-3, 2e-3, 4e-3)
+    ))
+    assert run_cli("fit", "--csv", str(csv)) == 1
+    printed = capsys.readouterr().out
+    assert "fit refused for channel P" in printed
+    assert "fit refused for channel Q" in printed
+    assert "low-statistics" not in printed
 
 
 def test_fit_command_rejects_missing_file(capsys):

@@ -141,6 +141,8 @@ def test_sweep_validates_arguments():
         noise.sweep([1e-3], n_runs=10, p_mode="nope")
     with pytest.raises(ValueError):
         noise.sweep([1e-3], n_runs=10, n_workers=0)
+    with pytest.raises(ValueError, match="empty"):
+        noise.sweep([], n_runs=10)
 
 
 def test_csv_round_trip(tmp_path):
