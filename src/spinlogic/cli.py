@@ -127,16 +127,13 @@ def _check_spin_swap_phase() -> tuple[float, float]:
 def _check_cycle_permutation() -> tuple[float, float]:
     sub = chain.enumerate_subspace(6, 2)
     phase = cmath.exp(1j * gates.CYCLE_PHASE)
-    worst = 0.0
-    for pattern in sub.states:
-        start = np.zeros(sub.dim, dtype=np.complex128)
-        start[sub.index_of(pattern)] = 1.0
-        final = gates.simulate(gates.cycle_sequence(), start, sub)
+    # column j evolves basis pattern j; all 15 go through the cycle as one block
+    final = gates.simulate(gates.cycle_sequence(), np.eye(sub.dim, dtype=np.complex128), sub)
+    expect = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
+    for j, pattern in enumerate(sub.states):
         shifted = ((pattern << 1) | (pattern >> 5)) & 0b111111
-        expect = np.zeros(sub.dim, dtype=np.complex128)
-        expect[sub.index_of(shifted)] = phase
-        worst = max(worst, float(np.abs(final - expect).max()))
-    return worst, 1e-12
+        expect[sub.index_of(shifted), j] = phase
+    return float(np.abs(final - expect).max()), 1e-12
 
 
 def _check_swap_gate() -> tuple[float, float]:

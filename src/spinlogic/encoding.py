@@ -15,11 +15,16 @@ with identical coefficients on the shifted patterns.
 The two-qubit frame spans the six-spin two-excitation sector (dimension 15):
 nine block-product states ordered B-major over (0, 1, aux), then the six
 states with both excitations inside one block, in ascending pattern order.
+
+Frames are built once and shared: qubit_frame(block) and pair_frame() return
+the same instance on every call, and its vectors array is read-only, so no
+caller can change the frame another caller sees. Copy it to modify it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -59,21 +64,29 @@ def qubit_frame(block: str = "A") -> LogicalFrame:
 
     Block A lives in the 3-spin single-excitation sector; block B needs the
     6-spin chain (its bonds are 3 and 4), so it is framed in the 6-spin
-    single-excitation sector with spins 0-2 empty.
+    single-excitation sector with spins 0-2 empty. Every call for a block
+    returns the same read-only instance.
     """
     if block not in BLOCK_BONDS:
         raise ValueError(f"block must be 'A' or 'B', got {block!r}")
+    return _qubit_frame(block)
+
+
+@cache
+def _qubit_frame(block: str) -> LogicalFrame:
     offset = 0 if block == "A" else 3
     sub = chain.enumerate_subspace(3, 1) if block == "A" else chain.enumerate_subspace(6, 1)
     columns = np.zeros((sub.dim, 3), dtype=np.complex128)
     for j, table in enumerate(_BLOCK_TABLES):
         for pattern, coeff in _shifted(table, offset).items():
             columns[sub.index_of(pattern), j] = coeff
+    columns.flags.writeable = False
     return LogicalFrame(sub, columns, _BLOCK_LABELS)
 
 
+@cache
 def pair_frame() -> LogicalFrame:
-    """Full 15-state frame of the 6-spin two-excitation sector.
+    """Full 15-state frame of the 6-spin two-excitation sector (one shared read-only instance).
 
     Columns 0-3 are the logical products 00, 01, 10, 11 (first digit qubit B,
     second qubit A); columns 4-8 bring in the auxiliary block states; columns
@@ -93,6 +106,7 @@ def pair_frame() -> LogicalFrame:
     for j, pattern in enumerate(sorted(tails), start=9):
         columns[sub.index_of(pattern), j] = 1.0
         labels.append(sub.bitstring(pattern))
+    columns.flags.writeable = False
     return LogicalFrame(sub, columns, tuple(labels))
 
 

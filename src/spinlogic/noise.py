@@ -32,6 +32,7 @@ execution order and worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -179,7 +180,10 @@ def sweep(
     """Monte-Carlo error sweep over a noise-strength grid.
 
     Aggregation is over per-trial result arrays indexed by trial number, so
-    the output is bit-identical for any n_workers.
+    the output is bit-identical for any n_workers. At most
+    min(32, cpu count + 4) threads run (the stdlib's default pool size), and
+    they bring no speed-up: the trial is Python-bound and holds the
+    interpreter lock.
     """
     for mode in (p_mode, q_mode):
         if mode not in NOISE_MODES:
@@ -217,7 +221,7 @@ def sweep(
             for trial_index in range(n_runs):
                 run(trial_index)
         else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            with ThreadPoolExecutor(max_workers=min(n_workers, 32, (os.cpu_count() or 1) + 4)) as pool:
                 list(pool.map(run, range(n_runs)))
 
         kept = q_vals[defined]

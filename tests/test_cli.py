@@ -1,8 +1,11 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
-from spinlogic import cli, gates, noise
+from spinlogic import chain, cli, gates, noise
+from spinlogic.pulses import Pulse, PulseSequence
 
 
 def run_cli(*argv) -> int:
@@ -42,6 +45,31 @@ def test_verify_fails_with_corrupted_timing(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "flip" in out
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda pulses: pulses[:2] + (Pulse(pulses[2].bond, 0.4, pulses[2].tag),) + pulses[3:],
+        lambda pulses: pulses[:-1],
+    ],
+    ids=["one-pulse-at-0.4", "one-pulse-dropped"],
+)
+def test_batched_cycle_check_fails_on_a_broken_cycle(capsys, monkeypatch, broken):
+    pulses = gates.cycle_sequence().pulses
+    monkeypatch.setattr(gates, "cycle_sequence", lambda: PulseSequence("cycle", broken(pulses)))
+    error, tol = cli._check_cycle_permutation()
+    assert error > tol
+    # the same error as fifteen one-pattern evolutions, so no column goes unchecked
+    sub = chain.enumerate_subspace(6, 2)
+    one_by_one = 0.0
+    for j, pattern in enumerate(sub.states):
+        final = gates.simulate(gates.cycle_sequence(), np.eye(sub.dim)[:, j], sub)
+        final[sub.index_of(((pattern << 1) | (pattern >> 5)) & 0b111111)] -= cmath.exp(1j * gates.CYCLE_PHASE)
+        one_by_one = max(one_by_one, float(np.abs(final).max()))
+    assert error == pytest.approx(one_by_one, rel=1e-12)
+    assert run_cli("verify", "--check", "cycle-permutation") == 1
+    assert capsys.readouterr().out.startswith("FAIL  cycle-permutation")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import chain, encoding, gates
+from spinlogic import chain, encoding, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 S2, S3, S6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
@@ -46,6 +46,18 @@ def test_frames_are_orthonormal(frame_a, frame_b, frame_ab):
     for frame in (frame_a, frame_b, frame_ab):
         gram = frame.vectors.conj().T @ frame.vectors
         assert np.abs(gram - np.eye(frame.n_columns)).max() < 1e-14
+
+
+def test_frames_are_shared_read_only_instances():
+    for build in (lambda: encoding.qubit_frame("A"), lambda: encoding.qubit_frame("B"), encoding.pair_frame):
+        frame = build()
+        assert build() is frame
+        with pytest.raises(ValueError, match="read-only"):
+            frame.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.vectors[:, 0] *= 2
+    assert encoding.qubit_frame() is encoding.qubit_frame("A")
+    assert noise._lab()[0] is encoding.pair_frame()
 
 
 def test_pair_frame_order_and_labels(frame_ab):

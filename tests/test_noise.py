@@ -132,6 +132,33 @@ def test_sweep_is_deterministic_and_order_independent():
     assert noise.csv_text(a) != noise.csv_text(c)
 
 
+@pytest.mark.parametrize(
+    ("n_workers", "cpu_count", "threads"),
+    [(10**6, 2, 6), (10**6, None, 5), (10**6, 64, 32), (3, 2, 3)],
+)
+def test_worker_threads_are_capped(monkeypatch, n_workers, cpu_count, threads):
+    asked = []
+
+    class SerialPool:  # records the pool size and runs the trials in this thread
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(noise, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: cpu_count)
+    points = noise.sweep([1e-3], n_runs=5, seed=7, n_workers=n_workers)
+    assert asked == [threads]
+    assert noise.csv_text(points) == noise.csv_text(noise.sweep([1e-3], n_runs=5, seed=7))
+
+
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         noise.sweep([1e-3], n_runs=0)
