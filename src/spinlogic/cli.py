@@ -241,7 +241,7 @@ def _parse_amplitudes(raw: list[str], expected: int) -> np.ndarray:
             raise ValueError(f"amplitude {chunk!r} is not finite")
         amps.append(amp)
     amps = np.array(amps, dtype=np.complex128)
-    norm = float(np.sum(np.abs(amps) ** 2))
+    norm = encoding.squared_norm(amps)
     if abs(norm - 1.0) > encoding.NORMALIZATION_ATOL:
         raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm:.12g}")
     return amps / math.sqrt(norm)

@@ -110,12 +110,18 @@ def pair_frame() -> LogicalFrame:
     return LogicalFrame(sub, columns, tuple(labels))
 
 
+def squared_norm(amplitudes: np.ndarray) -> float:
+    """sum |c|^2 of complex amplitudes; inf, without an overflow warning, if a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(amplitudes) ** 2))
+
+
 def encode(amplitudes: np.ndarray, frame: LogicalFrame) -> np.ndarray:
     """Map logical amplitudes onto the first len(amplitudes) frame columns."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or not 1 <= amps.shape[0] <= frame.n_columns:
         raise ValueError(f"expected 1..{frame.n_columns} amplitudes, got shape {amps.shape}")
-    norm = float(np.sum(np.abs(amps) ** 2))
+    norm = squared_norm(amps)
     if not abs(norm - 1.0) <= NORMALIZATION_ATOL:  # also rejects NaN
         raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm:.12g}")
     return frame.vectors[:, : amps.shape[0]] @ amps

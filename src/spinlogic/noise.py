@@ -150,9 +150,20 @@ def _phase_error_of(targets: np.ndarray, evolved: np.ndarray) -> tuple[float, bo
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
     if np.abs(overlaps).min() < OVERLAP_FLOOR:
         return math.nan, False
-    phases = np.angle(overlaps)
-    diffs = np.abs(phases[:, None] - phases[None, :])
-    return float(np.minimum(diffs, 2 * math.pi - diffs).max()), True
+    # np.angle rather than cmath.phase, which can differ in the last bit; the
+    # pairwise spread is then exact float arithmetic, cheaper on Python floats,
+    # and a NaN phase (from an overflowed duration) makes it NaN as in numpy
+    phases = np.angle(overlaps).tolist()
+    spread = 0.0
+    for i, a in enumerate(phases):
+        for b in phases[i + 1:]:
+            diff = abs(a - b)
+            wrapped = 2 * math.pi - diff
+            if wrapped < diff:
+                diff = wrapped
+            if diff > spread or diff != diff:
+                spread = diff
+    return spread, True
 
 
 def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float, bool, float]:
@@ -161,10 +172,8 @@ def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generato
     initial = int(rng.integers(4))
     psi = gates.simulate(perturb(ideal, p_noise, rng), frame.vectors[:, initial], frame.subspace)
     evolved = gates.simulate(perturb(ideal, q_noise, rng), frame.vectors[:, :4], frame.subspace)
-    norm_err = max(
-        abs(float(np.linalg.norm(psi)) - 1.0),
-        float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()),
-    )
+    columns = np.concatenate((psi[:, None], evolved), axis=1)
+    norm_err = max(abs(math.sqrt(sq) - 1.0) for sq in (columns.conj() * columns).real.sum(axis=0).tolist())
     q_value, defined = _phase_error_of(targets, evolved)
     return _probability_error_of(targets[:, initial], psi), q_value, defined, norm_err
 
@@ -292,17 +301,23 @@ def read_csv(path) -> list[SweepPoint]:
         cells = line.split(",")
         if len(cells) != 9:
             raise ValueError(f"bad sweep CSV row: {line!r}")
-        points.append(
-            SweepPoint(
-                epsilon=float(cells[0]),
-                n_runs=int(cells[1]),
-                mean_p=float(cells[2]),
-                std_p=float(cells[3]),
-                stderr_p=float(cells[4]),
-                mean_q=float(cells[5]),
-                std_q=float(cells[6]),
-                stderr_q=float(cells[7]),
-                excluded_trials=int(cells[8]),
-            )
+        point = SweepPoint(
+            epsilon=float(cells[0]),
+            n_runs=int(cells[1]),
+            mean_p=float(cells[2]),
+            std_p=float(cells[3]),
+            stderr_p=float(cells[4]),
+            mean_q=float(cells[5]),
+            std_q=float(cells[6]),
+            stderr_q=float(cells[7]),
+            excluded_trials=int(cells[8]),
         )
+        # rows that no sweep can write
+        if point.n_runs < 1:
+            raise ValueError(f"bad sweep CSV row: {line!r} (n_runs must be at least 1)")
+        if not 0 <= point.excluded_trials <= point.n_runs:
+            raise ValueError(f"bad sweep CSV row: {line!r} (excluded_trials must lie in [0, n_runs])")
+        if not (math.isfinite(point.epsilon) and point.epsilon >= 0):
+            raise ValueError(f"bad sweep CSV row: {line!r} (epsilon must be finite and nonnegative)")
+        points.append(point)
     return points

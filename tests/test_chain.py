@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -190,6 +192,86 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space):
             for state, weights in ((vec, phases), (block, phases[:, None])):
                 expect = vectors @ (weights * (vectors.conj().T @ state))
                 assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [(3, 1), (6, 1), (6, 2), (6, 3), (2, None), (6, None)],
+    ids=["sector-3-1", "sector-6-1", "sector-6-2", "sector-6-3", "full-4", "full-64"],
+)
+def test_bonds_share_one_spectrum_array(space):
+    n_spins, n_excitations = space
+    sub = chain.full_space(n_spins) if n_excitations is None else chain.enumerate_subspace(n_spins, n_excitations)
+    assert len({id(spectrum) for _, _, spectrum in sub.bond_factors}) == 1
+
+
+def test_apply_bond_pulse_reuses_phases_only_when_the_bits_match(monkeypatch):
+    # each call must equal the textbook formula bit for bit, whether or not it
+    # reuses the previous call's phase factors; a reuse computes no exponential
+    sub = chain.enumerate_subspace(6, 2)
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
+    block = rng.normal(size=(sub.dim, 4)) + 1j * rng.normal(size=(sub.dim, 4))
+    exps = []
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: exps.append(x) or real_exp(x))
+
+    def pulse(bond, t, state):
+        values, vectors = chain.bond_eigensystem(bond, sub)
+        weights = real_exp(-1j * values * t)
+        weights = weights if state.ndim == 1 else weights[:, None]
+        expect = vectors @ (weights * (vectors.conj().T @ state))
+        del exps[:]
+        out = chain.apply_bond_pulse(bond, t, state, sub)
+        assert np.array_equal(out, expect, equal_nan=True)
+        return out, len(exps)
+
+    assert pulse(0, 0.4375, vec)[1] == 1
+    assert pulse(3, 0.4375, block)[1] == 0  # same duration, other bond: shared spectrum
+    assert pulse(1, 1.25, vec)[1] == 1  # changed duration
+    assert pulse(2, 0.4375, vec)[1] == 1  # the earlier one again: only the last is kept
+    assert pulse(4, 0.4375, vec)[1] == 0
+    assert pulse(0, 0.0, vec)[1] == 1
+    assert pulse(0, -0.0, vec)[1] == 1  # equal to +0.0 but not the same bits
+    assert pulse(1, -0.0, block)[1] == 1
+    assert pulse(2, math.nan, vec)[1] == 1
+    assert pulse(2, math.nan, vec)[1] == 1  # NaN equals nothing
+    out, _ = pulse(3, 2.75, vec)
+    out *= 3.0  # the caller owns its output: changing it cannot reach the reused phases
+    assert pulse(3, 2.75, vec)[1] == 0
+
+
+def test_phase_reuse_is_exact_under_thread_switching():
+    # four threads share one sector's slot, switching every microsecond; each
+    # result must still be the textbook one for its own duration
+    sub = chain.enumerate_subspace(6, 2)
+    vec = np.random.default_rng(9).normal(size=sub.dim) + 0j
+    durations = [0.5, 0.5, 0.625, 0.5, 1.75, 1.75]
+    expect = {}
+    for bond in range(5):
+        values, vectors = chain.bond_eigensystem(bond, sub)
+        for t in set(durations):
+            expect[bond, t] = vectors @ (np.exp(-1j * values * t) * (vectors.conj().T @ vec))
+    mismatches = []
+
+    def work(offset):
+        for i in range(1000):
+            bond, t = (i + offset) % 5, durations[(i + offset) % len(durations)]
+            if not np.array_equal(chain.apply_bond_pulse(bond, t, vec, sub), expect[bond, t]):
+                mismatches.append((bond, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():

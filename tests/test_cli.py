@@ -1,11 +1,18 @@
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spinlogic import chain, cli, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
@@ -122,6 +129,18 @@ def test_simulate_rejects_non_finite_amplitudes(capsys, state):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not finite" in captured.err
+
+
+def test_simulate_rejects_overflowing_amplitudes_with_one_line():
+    # squaring 1e200 overflows; numpy's warning must not reach stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "spinlogic", "simulate", "--gate", "F", "--state", "1e200,0", "0,0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "amplitudes not normalized: sum |c|^2 = inf\n"
 
 
 # ---------------------------------------------------------------- schedules
@@ -289,6 +308,19 @@ def test_refused_fit_with_asserted_bands_is_a_verification_failure(tmp_path, cap
     assert "fit refused for channel P" in printed
     assert "fit refused for channel Q" in printed
     assert "low-statistics" not in printed
+
+
+@pytest.mark.parametrize(
+    "row", ["0.001,0,0,0,0,0,0,0,0", "0.001,10,0,0,0,0,0,0,11", "-0.001,10,0,0,0,0,0,0,0", "nan,10,0,0,0,0,0,0,0"]
+)
+def test_fit_rejects_a_row_no_sweep_writes(tmp_path, capsys, row):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"{noise.CSV_HEADER}\n{row}\n")
+    assert run_cli("fit", "--csv", str(csv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "bad sweep CSV row" in captured.err
 
 
 def test_fit_command_rejects_missing_file(capsys):

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import gates, noise
+from spinlogic import chain, encoding, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -196,6 +197,26 @@ def test_read_csv_rejects_garbage(tmp_path):
         noise.read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0.001,0,0,0,0,0,0,0,0",  # n_runs below 1
+        "0.001,-5,0,0,0,0,0,0,0",
+        "0.001,10,0,0,0,0,0,0,-1",  # excluded_trials outside [0, n_runs]
+        "0.001,10,0,0,0,0,0,0,11",
+        "-0.001,10,0,0,0,0,0,0,0",  # epsilon negative or not finite
+        "nan,10,0,0,0,0,0,0,0",
+        "inf,10,0,0,0,0,0,0,0",
+        "-inf,10,0,0,0,0,0,0,0",
+    ],
+)
+def test_read_csv_rejects_rows_no_sweep_writes(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{noise.CSV_HEADER}\n0.002,10,0,0,0,0,0,0,10\n{row}\n")  # the first row is legal
+    with pytest.raises(ValueError, match=re.escape(f"bad sweep CSV row: {row!r}")):
+        noise.read_csv(path)
+
+
 def test_independent_probability_channel_scales_quadratically():
     # with per-pulse draws the second-order term survives: P ~ 90 * eps^2
     points = noise.sweep([1e-4, 1e-3], n_runs=300, p_mode="independent")
@@ -297,6 +318,52 @@ def test_trials_conserve_the_norm(seed):
     common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
     _, _, _, norm_err = noise._run_trial(common, independent, rng)
     assert norm_err < 1e-12
+
+
+def _textbook_trial(p_noise, q_noise, rng):
+    """_run_trial written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions."""
+    frame = encoding.pair_frame()
+    targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
+    ideal = gates.swap_sequence()
+
+    def evolve(sequence, state):
+        for pulse in sequence:
+            values, vectors = chain.bond_eigensystem(pulse.bond, frame.subspace)
+            phases = np.exp(-1j * values * pulse.duration)
+            weights = phases if state.ndim == 1 else phases[:, None]
+            state = vectors @ (weights * (vectors.conj().T @ state))
+        return state
+
+    initial = int(rng.integers(4))
+    psi = evolve(noise.perturb(ideal, p_noise, rng), frame.vectors[:, initial])
+    evolved = evolve(noise.perturb(ideal, q_noise, rng), frame.vectors[:, :4])
+    p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
+    overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
+    defined = not np.abs(overlaps).min() < noise.OVERLAP_FLOOR  # a NaN overlap counts as defined
+    phases = np.angle(overlaps)
+    diffs = np.abs(phases[:, None] - phases[None, :])
+    q_value = float(np.minimum(diffs, 2 * PI - diffs).max()) if defined else math.nan
+    norm_err = max(
+        abs(float(np.linalg.norm(psi)) - 1.0),
+        float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()),
+    )
+    return p_value, q_value, defined, norm_err
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
+@pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: some durations overflow -i*lambda*t
+def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps):
+    p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
+    with np.errstate(all="ignore"):
+        for trial in range(40):
+            got = noise._run_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
+            want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
+            assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
+            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
 
 
 def test_reference_point_checks(millinoise_point):
