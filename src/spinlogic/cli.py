@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -387,6 +388,9 @@ def cmd_sweep(args) -> int:
         if settings["eps"] is not None:
             grid = [float(x) for x in str(settings["eps"]).split(",")]
         else:
+            for key in ("eps_min", "eps_max"):  # before np.geomspace, which warns on inf and nan
+                if not (math.isfinite(settings[key]) and settings[key] > 0):
+                    raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {settings[key]!r}")
             grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"],
                                                    int(settings["eps_points"]))]
         with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
@@ -441,7 +445,9 @@ def cmd_export_schedule(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(prog="spinlogic", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -450,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", help="run a single named check")
     p_verify.add_argument("--corrupt-t2", type=float, default=None,
                           help="debug: override the flip sequence's second duration")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="apply a cataloged gate to logical amplitudes")
     p_sim.add_argument("--gate", required=True, choices=["F", "H", "P", "SWAP"])
@@ -459,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--degrees", action="store_true", help="read theta and print phases in degrees")
     p_sim.add_argument("--state", nargs="+", required=True, metavar="RE,IM",
                        help="logical amplitudes: two pairs, or four for SWAP")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo error sweep with power-law fits")
     p_sweep.add_argument("--eps", help="comma-separated noise strengths (overrides the log grid)")
@@ -473,11 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int)
     p_sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
     p_sweep.add_argument("--config", help="key=value file mirroring these flags; flags override it")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="re-fit an existing sweep CSV")
     p_fit.add_argument("--csv", required=True)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_exp = sub.add_parser("export-schedule", help="write a gate's pulse schedule")
     p_exp.add_argument("--gate", required=True, choices=["F", "FPH", "H", "P", "SWAP", "CYCLE"])
@@ -487,14 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--solution", type=int, default=2, choices=[1, 2],
                        help="timing solution for the bare three-pulse flip")
     p_exp.add_argument("--out", help="output file (default stdout)")
-    p_exp.set_defaults(func=cmd_export_schedule)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call, so a handler replaced after the parser was built still runs
+    return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
 
 
 if __name__ == "__main__":

@@ -192,7 +192,8 @@ def sweep(
     the output is bit-identical for any n_workers. At most
     min(32, cpu count + 4) threads run (the stdlib's default pool size), and
     they bring no speed-up: the trial is Python-bound and holds the
-    interpreter lock.
+    interpreter lock. A negative seed, and an epsilon whose trials overflow
+    (non-finite P or Q, or an infinite duration), raise ValueError.
     """
     for mode in (p_mode, q_mode):
         if mode not in NOISE_MODES:
@@ -201,6 +202,8 @@ def sweep(
         raise ValueError(f"n_runs must be positive, got {n_runs}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be positive, got {n_workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid:
         raise ValueError("the epsilon grid is empty")
@@ -226,14 +229,23 @@ def sweep(
             defined[trial_index] = ok
             norm_errs[trial_index] = nrm
 
-        if n_workers == 1:
-            for trial_index in range(n_runs):
-                run(trial_index)
-        else:
-            with ThreadPoolExecutor(max_workers=min(n_workers, 32, (os.cpu_count() or 1) + 4)) as pool:
-                list(pool.map(run, range(n_runs)))
+        # near the float limit a duration overflows: a draw becomes inf (the Pulse
+        # refuses it) or exp(-i*lambda*t) turns P and Q into NaN. Both are reported
+        # once for the point, so numpy's per-pulse warnings are silenced here.
+        try:
+            if n_workers == 1:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for trial_index in range(n_runs):
+                        run(trial_index)
+            else:  # the error state is per thread, so each pooled trial sets its own
+                with ThreadPoolExecutor(max_workers=min(n_workers, 32, (os.cpu_count() or 1) + 4)) as pool:
+                    list(pool.map(np.errstate(over="ignore", invalid="ignore")(run), range(n_runs)))
+        except ValueError as err:
+            raise ValueError(f"epsilon {eps!r} overflows the trials: {err}") from None
 
         kept = q_vals[defined]
+        if not (np.isfinite(p_vals).all() and np.isfinite(kept).all()):
+            raise ValueError(f"epsilon {eps!r} overflows the trials: P or Q is not finite")
         points.append(
             SweepPoint(
                 epsilon=eps,

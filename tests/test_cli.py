@@ -19,6 +19,13 @@ def run_cli(*argv) -> int:
     return cli.main(list(argv))
 
 
+def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
+    """`python -m spinlogic` in a fresh process, so numpy warnings show on its stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env}
+    return subprocess.run([sys.executable, "-m", "spinlogic", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -133,11 +140,7 @@ def test_simulate_rejects_non_finite_amplitudes(capsys, state):
 
 def test_simulate_rejects_overflowing_amplitudes_with_one_line():
     # squaring 1e200 overflows; numpy's warning must not reach stderr
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "spinlogic", "simulate", "--gate", "F", "--state", "1e200,0", "0,0"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_spinlogic("simulate", "--gate", "F", "--state", "1e200,0", "0,0")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "amplitudes not normalized: sum |c|^2 = inf\n"
@@ -248,6 +251,51 @@ def test_sweep_over_an_empty_grid_is_bad_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == ["the epsilon grid is empty"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--eps", "3e307,1e-3,1e-2"], "epsilon 3e+307 overflows the trials: P or Q is not finite"),
+        (["--eps", "1e308"], "epsilon 1e+308 overflows the trials: pulse duration must be finite, got inf"),
+        (["--eps-max", "inf"], "eps-max must be finite and positive, got inf"),
+        (["--eps-max", "nan"], "eps-max must be finite and positive, got nan"),
+        (["--eps-min", "0"], "eps-min must be finite and positive, got 0.0"),
+    ],
+    ids=["nan-phases", "infinite-draw", "eps-max-inf", "eps-max-nan", "eps-min-zero"],
+)
+def test_sweep_rejects_an_unusable_epsilon_with_one_line(tmp_path, argv, message):
+    done = run_spinlogic("sweep", *argv, "--n-runs", "20", "--out", str(tmp_path / "sweep.csv"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("key", ["eps-min", "eps-max"])
+def test_config_log_grid_bounds_are_checked(tmp_path, capsys, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = inf\nout = {tmp_path / 'cfg.csv'}\n")
+    assert run_cli("sweep", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{key} must be finite and positive, got inf"]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_sweep_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the seed was checked")
+
+    monkeypatch.setattr(noise, "_run_trial", no_trials)
+    argv = ["sweep", "--eps", "1e-3", "--n-runs", "10", "--out", str(tmp_path / "sweep.csv")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["seed must be nonnegative, got -1"]
 
 
 def test_seed_from_environment_is_echoed(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,30 @@ def test_sweep_validates_arguments():
         noise.sweep([1e-3], n_runs=10, n_workers=0)
     with pytest.raises(ValueError, match="empty"):
         noise.sweep([], n_runs=10)
+
+
+def test_a_negative_seed_is_refused_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the seed was checked")
+
+    monkeypatch.setattr(noise, "_run_trial", no_trials)
+    with pytest.raises(ValueError, match=re.escape("seed must be nonnegative, got -1")):
+        noise.sweep([1e-3], n_runs=10, seed=-1)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize(
+    ("grid", "eps"),
+    [((3e307, 1e-3), "3e+307"), ((1e-3, 1e308), "1e+308")],
+    ids=["nan-phases", "infinite-draw"],
+)
+def test_an_overflowing_epsilon_is_refused_without_warnings(grid, eps, n_workers):
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning, in any thread, fails the test
+        with pytest.raises(ValueError, match=re.escape(f"epsilon {eps} overflows the trials")):
+            noise.sweep(grid, n_runs=20, n_workers=n_workers)
+    assert np.geterr() == before
 
 
 def test_csv_round_trip(tmp_path):
