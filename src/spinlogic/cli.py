@@ -300,7 +300,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 _SWEEP_CONFIG_KEYS = {
     "eps", "eps_min", "eps_max", "eps_points", "n_runs", "seed",
-    "p_mode", "q_mode", "workers", "out",
+    "p_mode", "q_mode", "out",
 }
 
 
@@ -315,7 +315,6 @@ def _resolve_sweep_settings(args) -> tuple[dict, str]:
         "seed": noise.DEFAULT_SEED,
         "p_mode": "common",
         "q_mode": "independent",
-        "workers": 1,
         "out": "sweep.csv",
     }
     seed_source = "default"
@@ -332,7 +331,7 @@ def _resolve_sweep_settings(args) -> tuple[dict, str]:
                 settings["eps"] = value
             elif key in ("eps_min", "eps_max"):
                 settings[key] = float(value)
-            elif key in ("eps_points", "n_runs", "seed", "workers"):
+            elif key in ("eps_points", "n_runs", "seed"):
                 settings[key] = int(value)
             else:
                 settings[key] = value
@@ -393,16 +392,16 @@ def cmd_sweep(args) -> int:
                     raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {settings[key]!r}")
             grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"],
                                                    int(settings["eps_points"]))]
+        fresh = not os.path.lexists(settings["out"])
         with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
             pass
-        points = noise.sweep(
-            grid,
-            n_runs=int(settings["n_runs"]),
-            seed=int(settings["seed"]),
-            p_mode=settings["p_mode"],
-            q_mode=settings["q_mode"],
-            n_workers=int(settings["workers"]),
-        )
+        try:
+            points = noise.sweep(grid, n_runs=int(settings["n_runs"]), seed=int(settings["seed"]),
+                                 p_mode=settings["p_mode"], q_mode=settings["q_mode"])
+        except ValueError:
+            if fresh:  # a refused run leaves no file behind
+                os.remove(settings["out"])
+            raise
         noise.write_csv(points, settings["out"])
     except (ValueError, OSError) as err:
         print(str(err), file=sys.stderr)
@@ -474,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--p-mode", choices=noise.NOISE_MODES, dest="p_mode")
     p_sweep.add_argument("--q-mode", choices=noise.NOISE_MODES, dest="q_mode")
-    p_sweep.add_argument("--workers", type=int)
     p_sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
     p_sweep.add_argument("--config", help="key=value file mirroring these flags; flags override it")
 

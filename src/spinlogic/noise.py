@@ -27,13 +27,11 @@ have no defined phase and are excluded from the phase mean but counted.
 
 Reproducibility: trial (eps_index, trial_index) uses the substream
 SeedSequence([seed, eps_index, trial_index]), so results are independent of
-execution order and worker count.
+the order in which trials run.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -186,22 +184,22 @@ def sweep(
     q_mode: str = "independent",
     n_workers: int = 1,
 ) -> list[SweepPoint]:
-    """Monte-Carlo error sweep over a noise-strength grid.
+    """Monte-Carlo error sweep over a noise-strength grid, one trial at a time.
 
     Aggregation is over per-trial result arrays indexed by trial number, so
-    the output is bit-identical for any n_workers. At most
-    min(32, cpu count + 4) threads run (the stdlib's default pool size), and
-    they bring no speed-up: the trial is Python-bound and holds the
-    interpreter lock. A negative seed, and an epsilon whose trials overflow
-    (non-finite P or Q, or an infinite duration), raise ValueError.
+    running any trial alone from its substream gives the value the sweep
+    used. n_workers accepts only 1: threads gave no speed-up, since a trial
+    is Python-bound and holds the interpreter lock. A negative seed, and an
+    epsilon whose trials overflow (non-finite P or Q, or an infinite
+    duration), raise ValueError.
     """
     for mode in (p_mode, q_mode):
         if mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be positive, got {n_workers}")
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (trials run serially), got {n_workers}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     eps_grid = [float(e) for e in eps_grid]
@@ -210,7 +208,6 @@ def sweep(
     for eps in eps_grid:
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"epsilon values must be finite and nonnegative, got {eps!r}")
-    _lab()  # build shared state before threads race to create it
 
     points = []
     for eps_index, eps in enumerate(eps_grid):
@@ -220,26 +217,14 @@ def sweep(
         norm_errs = np.empty(n_runs)
         p_noise = NoiseModel(eps, p_mode)
         q_noise = NoiseModel(eps, q_mode)
-
-        def run(trial_index: int, _ei=eps_index, _p=p_noise, _q=q_noise) -> None:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _ei, trial_index]))
-            p, q, ok, nrm = _run_trial(_p, _q, rng)
-            p_vals[trial_index] = p
-            q_vals[trial_index] = q
-            defined[trial_index] = ok
-            norm_errs[trial_index] = nrm
-
         # near the float limit a duration overflows: a draw becomes inf (the Pulse
         # refuses it) or exp(-i*lambda*t) turns P and Q into NaN. Both are reported
         # once for the point, so numpy's per-pulse warnings are silenced here.
         try:
-            if n_workers == 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for trial_index in range(n_runs):
-                        run(trial_index)
-            else:  # the error state is per thread, so each pooled trial sets its own
-                with ThreadPoolExecutor(max_workers=min(n_workers, 32, (os.cpu_count() or 1) + 4)) as pool:
-                    list(pool.map(np.errstate(over="ignore", invalid="ignore")(run), range(n_runs)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(n_runs):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, eps_index, j]))
+                    p_vals[j], q_vals[j], defined[j], norm_errs[j] = _run_trial(p_noise, q_noise, rng)
         except ValueError as err:
             raise ValueError(f"epsilon {eps!r} overflows the trials: {err}") from None
 

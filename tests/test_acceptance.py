@@ -147,21 +147,18 @@ def test_criterion_6_error_scaling_reproduction(default_sweep):
     )
 
 
-def test_criterion_7_reproducibility_and_conservation(default_sweep):
+def test_criterion_7_reproducibility_and_conservation(default_sweep, lone_trial_sweep):
     points, _ = default_sweep
     norm_worst = max(p.max_norm_error for p in points)
 
     clean = noise.sweep([0.0], n_runs=50)[0]
 
-    grid = [3e-4, 3e-3]
-    serial = noise.sweep(grid, n_runs=40, seed=1234, n_workers=1)
-    threaded = noise.sweep(grid, n_runs=40, seed=1234, n_workers=4)
-    identical = noise.csv_text(serial) == noise.csv_text(threaded)
+    identical = noise.sweep([3e-4, 3e-3], n_runs=40, seed=1234) == lone_trial_sweep([3e-4, 3e-3], 40, 1234)
 
     report(
         7,
         norm_worst <= 1e-12 and clean.mean_p <= 1e-12 and clean.mean_q <= 1e-12 and identical,
         f"norm conserved every trial (worst {norm_worst:.3e}, bound 1e-12); "
         f"zero-noise errors {clean.mean_p:.3e}/{clean.mean_q:.3e} (bound 1e-12); "
-        f"CSV byte-identical across 1 vs 4 workers: {identical}",
+        f"sweep equals its trials run alone in reverse order: {identical}",
     )

@@ -217,14 +217,6 @@ def test_small_sweep_writes_csv_and_warns(tmp_path, capsys):
     assert len(text.splitlines()) == 4
 
 
-def test_sweep_output_is_byte_identical_across_workers(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep", "--eps", "1e-3,3e-3", "--n-runs", "24", "--seed", "7"]
-    assert run_cli(*args, "--workers", "1", "--out", str(a)) == 0
-    assert run_cli(*args, "--workers", "3", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_degenerate_sweep_refuses_the_fit(tmp_path, capsys):
     out = tmp_path / "zero.csv"
     assert run_cli("sweep", "--eps", "0", "--n-runs", "10", "--out", str(out)) == 0
@@ -279,6 +271,16 @@ def test_config_log_grid_bounds_are_checked(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"{key} must be finite and positive, got inf"]
+    assert not (tmp_path / "cfg.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1", "--eps", "1e-3"], ["--eps", "3e307"]], ids=["seed", "eps"])
+def test_a_refused_sweep_leaves_out_as_it_was(tmp_path, argv):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for out in (new, old):
+        assert run_cli("sweep", *argv, "--n-runs", "5", "--out", str(out)) == 2
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
@@ -331,8 +333,16 @@ def test_config_file_feeds_the_sweep_and_flags_override(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("volume = 11\n")
-    assert run_cli("sweep", "--config", str(config)) == 2
+    for key in ("volume", "workers"):
+        config.write_text(f"{key} = 2\n")
+        assert run_cli("sweep", "--config", str(config)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"unknown config keys: {key}"]
+
+
+def test_the_removed_workers_flag_is_bad_input(capsys):
+    with pytest.raises(SystemExit, match="^2$"):
+        run_cli("sweep", "--workers", "2")
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_fit_command_refits_a_csv(tmp_path, capsys):

@@ -125,40 +125,11 @@ def test_zero_noise_sweep_is_clean():
     assert point.max_norm_error < 1e-12
 
 
-def test_sweep_is_deterministic_and_order_independent():
+def test_sweep_is_deterministic_and_order_independent(lone_trial_sweep):
     grid = [3e-4, 1e-3, 3e-3]
-    a = noise.sweep(grid, n_runs=40, seed=2024, n_workers=1)
-    b = noise.sweep(grid, n_runs=40, seed=2024, n_workers=3)
-    assert noise.csv_text(a) == noise.csv_text(b)
-    c = noise.sweep(grid, n_runs=40, seed=2025, n_workers=1)
-    assert noise.csv_text(a) != noise.csv_text(c)
-
-
-@pytest.mark.parametrize(
-    ("n_workers", "cpu_count", "threads"),
-    [(10**6, 2, 6), (10**6, None, 5), (10**6, 64, 32), (3, 2, 3)],
-)
-def test_worker_threads_are_capped(monkeypatch, n_workers, cpu_count, threads):
-    asked = []
-
-    class SerialPool:  # records the pool size and runs the trials in this thread
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return map(func, items)
-
-    monkeypatch.setattr(noise, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(noise.os, "cpu_count", lambda: cpu_count)
-    points = noise.sweep([1e-3], n_runs=5, seed=7, n_workers=n_workers)
-    assert asked == [threads]
-    assert noise.csv_text(points) == noise.csv_text(noise.sweep([1e-3], n_runs=5, seed=7))
+    for modes in (("common", "independent"), ("independent", "common")):
+        assert noise.sweep(grid, 40, 2024, *modes) == lone_trial_sweep(grid, 40, 2024, *modes)
+    assert noise.csv_text(noise.sweep(grid, 40, 2024)) != noise.csv_text(noise.sweep(grid, 40, 2025))
 
 
 def test_sweep_validates_arguments():
@@ -168,8 +139,9 @@ def test_sweep_validates_arguments():
         noise.sweep([-1e-3], n_runs=10)
     with pytest.raises(ValueError):
         noise.sweep([1e-3], n_runs=10, p_mode="nope")
-    with pytest.raises(ValueError):
-        noise.sweep([1e-3], n_runs=10, n_workers=0)
+    for n_workers in (0, 2):  # trials run serially
+        with pytest.raises(ValueError, match="n_workers must be 1"):
+            noise.sweep([1e-3], n_runs=10, n_workers=n_workers)
     with pytest.raises(ValueError, match="empty"):
         noise.sweep([], n_runs=10)
 
@@ -183,18 +155,17 @@ def test_a_negative_seed_is_refused_before_any_trial(monkeypatch):
         noise.sweep([1e-3], n_runs=10, seed=-1)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize(
     ("grid", "eps"),
     [((3e307, 1e-3), "3e+307"), ((1e-3, 1e308), "1e+308")],
     ids=["nan-phases", "infinite-draw"],
 )
-def test_an_overflowing_epsilon_is_refused_without_warnings(grid, eps, n_workers):
+def test_an_overflowing_epsilon_is_refused_without_warnings(grid, eps):
     before = np.geterr()
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning, in any thread, fails the test
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         with pytest.raises(ValueError, match=re.escape(f"epsilon {eps} overflows the trials")):
-            noise.sweep(grid, n_runs=20, n_workers=n_workers)
+            noise.sweep(grid, n_runs=20)
     assert np.geterr() == before
 
 
