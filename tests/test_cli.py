@@ -217,6 +217,13 @@ def test_small_sweep_writes_csv_and_warns(tmp_path, capsys):
     assert len(text.splitlines()) == 4
 
 
+def test_sweep_output_is_byte_identical_across_workers(tmp_path, lone_trial_sweep):
+    """The CSV the serial loop writes is the one any split of trials over workers would give."""
+    out = tmp_path / "a.csv"
+    assert run_cli("sweep", "--eps", "1e-3,3e-3", "--n-runs", "24", "--seed", "7", "--out", str(out)) == 0
+    assert out.read_text() == noise.csv_text(lone_trial_sweep([1e-3, 3e-3], 24, 7))
+
+
 def test_degenerate_sweep_refuses_the_fit(tmp_path, capsys):
     out = tmp_path / "zero.csv"
     assert run_cli("sweep", "--eps", "0", "--n-runs", "10", "--out", str(out)) == 0
