@@ -1,9 +1,10 @@
 """Exchange-pulse gate simulator for logical qubits in a spin-1/2 chain."""
-from . import chain, encoding, gates, linalg, noise, pulses
+from . import chain, checks, encoding, gates, linalg, noise, pulses
 from .pulses import Pulse, PulseSequence
 
 __all__ = [
     "chain",
+    "checks",
     "encoding",
     "gates",
     "linalg",

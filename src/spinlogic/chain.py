@@ -21,6 +21,8 @@ swapping bits k and k+1.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -174,8 +176,10 @@ def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Su
 def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     """Evolve a full 2^n state vector through a pulse sequence, no sector shortcut.
 
-    Cross-checks the sector evolution; the chain length is inferred from the
-    state length, which must be a power of two with at most MAX_FULL_SPINS bits.
+    Shares no code with apply_bond_pulse: V_k = pi*SWAP_k - pi/2 and SWAP_k^2 = 1 give
+    exp(-i V_k t) = exp(i*pi*t/2) [cos(pi*t) - i*sin(pi*t) SWAP_k] (DiVincenzo et al.,
+    quant-ph/0005116), where SWAP_k exchanges bits k and k+1 of every basis index. The
+    chain length is inferred from the state length, a power of two of at most MAX_FULL_SPINS bits.
     """
     psi = np.asarray(initial_state, dtype=np.complex128)
     dim = psi.shape[0]
@@ -183,8 +187,14 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     if dim != 1 << n_spins:
         raise ValueError(f"state length {dim} is not a power of two")
     space = full_space(n_spins)
+    index = np.arange(dim)
+    # per bond, the index each basis pattern maps to with bits k and k+1 exchanged
+    swapped = [index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1)]
     for pulse in sequence:
-        psi = apply_bond_pulse(pulse.bond, pulse.duration, psi, space)
+        if not 0 <= pulse.bond < len(swapped):
+            raise _bond_error(pulse.bond, space)
+        angle = math.pi * pulse.duration
+        psi = cmath.exp(0.5j * angle) * (math.cos(angle) * psi - 1j * math.sin(angle) * psi[swapped[pulse.bond]])
     return psi
 
 

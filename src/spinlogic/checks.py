@@ -1,0 +1,160 @@
+"""The analytic invariants a release must satisfy, each with its tolerance.
+
+registry() lists them in the order `spinlogic verify` runs them. Each entry
+measures one error (the largest deviation from its closed form) and passes when
+that error is at most its tolerance; a NaN error fails. The flip checks can be
+fed a corrupted second pulse duration, the fault injector behind
+`verify --corrupt-t2`.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import chain, encoding, gates
+from .pulses import Pulse, PulseSequence
+
+
+class Check(NamedTuple):
+    measure: Callable[[], float]
+    tolerance: float
+
+    def run(self) -> tuple[float, bool]:
+        """The error and whether it is within tolerance; overflow shows as inf or NaN, not as warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = self.measure()
+        return error, error <= self.tolerance
+
+
+def _worst(errors) -> float:
+    """The largest error, NaN if any is NaN (the builtin max drops a NaN that comes second)."""
+    return float(np.max(list(errors)))
+
+
+def _wrapped(angle: float) -> float:
+    """Distance of an angle from 0 modulo 2*pi."""
+    wrapped = angle % (2 * math.pi)
+    return min(wrapped, 2 * math.pi - wrapped)
+
+
+def _gate_error(sequence: PulseSequence, frame: encoding.LogicalFrame, gate: str, theta: float | None = None) -> float:
+    """Largest deviation of the sequence's logical matrix from the gate's closed form."""
+    reference = gates.analytic_reference(gate, theta)
+    got = gates.logical_unitary(sequence, frame, n_columns=reference.shape[0])
+    return float(np.abs(got - reference).max())
+
+
+def _with_t2(seq: PulseSequence, corrupt_t2: float | None) -> PulseSequence:
+    """The sequence with its second duration overridden (fault injection)."""
+    if corrupt_t2 is None:
+        return seq
+    first, second, *rest = seq.pulses
+    return PulseSequence(seq.name, (first, Pulse(second.bond, corrupt_t2, second.tag), *rest))
+
+
+def frame_orthonormality() -> float:
+    frames = (encoding.qubit_frame("A"), encoding.qubit_frame("B"), encoding.pair_frame())
+    return _worst(np.abs(f.vectors.conj().T @ f.vectors - np.eye(f.n_columns)).max() for f in frames)
+
+
+def auxiliary_decoupling() -> float:
+    return _worst(np.abs(encoding.auxiliary_coupling(block)).max() for block in ("A", "B"))
+
+
+def logical_projection() -> float:
+    frame = encoding.qubit_frame("A")
+    inner_ref = np.array([[0, -gates.OMEGA / 2], [-gates.OMEGA / 2, gates.DELTA]])
+    outer_ref = np.diag([1.5 * gates.DELTA, -0.5 * gates.DELTA])
+    return _worst([
+        np.abs(encoding.project_bond(0, frame) - inner_ref).max(),
+        np.abs(encoding.project_bond(1, frame) - outer_ref).max(),
+    ])
+
+
+def flip_annihilation(*sequences: PulseSequence) -> float:
+    """|c_0| after each bare flip from |0_L>: both timing solutions empty the first slot."""
+    frame = encoding.qubit_frame("A")
+    start = encoding.encode(np.array([1.0, 0.0]), frame)
+    return _worst(abs(encoding.decode(gates.simulate(s, start, frame.subspace), frame)[0][0]) for s in sequences)
+
+
+def flip_phase_condition() -> float:
+    lhs = gates.PHI1 + gates.DELTA * gates.T4 / 2
+    rhs = gates.PHI2 - 3 * gates.DELTA * gates.T4 / 2
+    return _wrapped(lhs - rhs)
+
+
+def hadamard_gate() -> float:
+    return _worst(_gate_error(gates.hadamard_sequence(q), encoding.qubit_frame(q), "H") for q in ("A", "B"))
+
+
+def phase_gate() -> float:
+    """The phase gate on the nine angles k*pi/4, including 0, pi and 2*pi."""
+    frame = encoding.qubit_frame("A")
+    return _worst(
+        _gate_error(gates.phase_sequence(k * math.pi / 4), frame, "P", k * math.pi / 4) for k in range(9)
+    )
+
+
+def spin_swap_phase() -> float:
+    sub = chain.full_space(2)
+    u = np.column_stack([chain.apply_bond_pulse(0, 0.5, e, sub) for e in np.eye(4, dtype=np.complex128)])
+    # the two spins trade places: patterns 01 and 10 exchange, 00 and 11 stay
+    expect = cmath.exp(1j * gates.SPIN_SWAP_PHASE) * np.eye(4)[[0, 2, 1, 3]]
+    return float(np.abs(u - expect).max())
+
+
+def cycle_permutation() -> float:
+    sub = chain.enumerate_subspace(6, 2)
+    phase = cmath.exp(1j * gates.CYCLE_PHASE)
+    # column j evolves basis pattern j; all 15 go through the cycle as one block
+    final = gates.simulate(gates.cycle_sequence(), np.eye(sub.dim, dtype=np.complex128), sub)
+    expect = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
+    for j, pattern in enumerate(sub.states):
+        shifted = ((pattern << 1) | (pattern >> 5)) & 0b111111
+        expect[sub.index_of(shifted), j] = phase
+    return float(np.abs(final - expect).max())
+
+
+def swap_phase() -> float:
+    frame = encoding.pair_frame()
+    final = gates.simulate(gates.swap_sequence(), frame.vectors[:, 0], frame.subspace)
+    measured = float(np.angle(np.vdot(frame.vectors[:, 0], final)))
+    print(f"measured overall swap phase {measured:.17g}, expected {gates.PAIR_SWAP_PHASE:.17g}")
+    return _wrapped(measured - gates.PAIR_SWAP_PHASE)
+
+
+def full_space_oracle() -> float:
+    """The sector evolution of the swap against the 64-dim oracle, plus the oracle's leakage."""
+    frame = encoding.pair_frame()
+    psi0 = encoding.encode(np.array([0.5, 0.5, 0.5, 0.5]), frame)
+    in_sector = gates.simulate(gates.swap_sequence(), psi0, frame.subspace)
+    in_full = chain.full_space_oracle(gates.swap_sequence(), chain.embed_in_full_space(psi0, frame.subspace))
+    leakage = 1.0 - chain.sector_weight(in_full, frame.subspace)
+    agreement = np.abs(chain.restrict_to_sector(in_full, frame.subspace) - in_sector).max()
+    return _worst([agreement, abs(leakage)])
+
+
+def registry(corrupt_t2: float | None = None) -> dict[str, Check]:
+    """Every check by name, in run order; corrupt_t2 overrides the flips' second duration."""
+    flip = _with_t2(gates.flip_sequence("A"), corrupt_t2)
+    core2 = _with_t2(gates.flip_sequence_uncorrected("A", solution=2), corrupt_t2)
+    core1 = gates.flip_sequence_uncorrected("A", solution=1)
+    return {
+        "frame-orthonormality": Check(frame_orthonormality, 1e-12),
+        "auxiliary-decoupling": Check(auxiliary_decoupling, 1e-13),
+        "logical-projection": Check(logical_projection, 1e-13),
+        "flip-annihilation": Check(lambda: flip_annihilation(core2, core1), 1e-13),
+        "flip-gate": Check(lambda: _gate_error(flip, encoding.qubit_frame("A"), "F"), 1e-12),
+        "flip-phase-condition": Check(flip_phase_condition, 1e-13),
+        "hadamard-gate": Check(hadamard_gate, 1e-12),
+        "phase-gate": Check(phase_gate, 1e-12),
+        "spin-swap-phase": Check(spin_swap_phase, 1e-12),
+        "cycle-permutation": Check(cycle_permutation, 1e-12),
+        "swap-gate": Check(lambda: _gate_error(gates.swap_sequence(), encoding.pair_frame(), "SWAP"), 1e-12),
+        "swap-phase": Check(swap_phase, 1e-12),
+        "full-space-oracle": Check(full_space_oracle, 1e-12),
+    }

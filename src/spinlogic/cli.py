@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import chain, encoding, gates, noise
-from .pulses import Pulse, PulseSequence
+from . import checks, encoding, gates, noise
+from .pulses import PulseSequence
 
 SEED_ENV_VAR = "SPINLOGIC_SEED"
 
@@ -34,176 +34,24 @@ EXIT_BAD_INPUT = 2
 
 # ---------------------------------------------------------------- verify
 
-def _check_frame_orthonormality() -> tuple[float, float]:
-    worst = 0.0
-    for frame in (encoding.qubit_frame("A"), encoding.qubit_frame("B"), encoding.pair_frame()):
-        gram = frame.vectors.conj().T @ frame.vectors
-        worst = max(worst, float(np.abs(gram - np.eye(frame.n_columns)).max()))
-    return worst, 1e-12
-
-
-def _check_auxiliary_decoupling() -> tuple[float, float]:
-    worst = max(
-        float(np.abs(encoding.auxiliary_coupling("A")).max()),
-        float(np.abs(encoding.auxiliary_coupling("B")).max()),
-    )
-    return worst, 1e-13
-
-
-def _check_logical_projection() -> tuple[float, float]:
-    frame = encoding.qubit_frame("A")
-    inner_ref = np.array([[0, -gates.OMEGA / 2], [-gates.OMEGA / 2, gates.DELTA]])
-    outer_ref = np.diag([1.5 * gates.DELTA, -0.5 * gates.DELTA])
-    worst = max(
-        float(np.abs(encoding.project_bond(0, frame) - inner_ref).max()),
-        float(np.abs(encoding.project_bond(1, frame) - outer_ref).max()),
-    )
-    return worst, 1e-13
-
-
-def _with_t2(seq: PulseSequence, corrupt_t2: float | None) -> PulseSequence:
-    """The sequence with its second duration overridden (fault injection)."""
-    if corrupt_t2 is None:
-        return seq
-    return PulseSequence(seq.name, tuple(
-        Pulse(p.bond, corrupt_t2, p.tag) if j == 1 else p for j, p in enumerate(seq.pulses)
-    ))
-
-
-def _check_flip_annihilation(core2: PulseSequence, core1: PulseSequence) -> tuple[float, float]:
-    frame = encoding.qubit_frame("A")
-    worst = 0.0
-    for seq in (core2, core1):
-        final = gates.simulate(seq, encoding.encode(np.array([1.0, 0.0]), frame), frame.subspace)
-        amps, _ = encoding.decode(final, frame)
-        worst = max(worst, abs(amps[0]))
-    return worst, 1e-13
-
-
-def _check_flip_gate(flip: PulseSequence) -> tuple[float, float]:
-    frame = encoding.qubit_frame("A")
-    got = gates.logical_unitary(flip, frame)
-    return float(np.abs(got - gates.analytic_reference("F")).max()), 1e-12
-
-
-def _check_flip_phase_condition() -> tuple[float, float]:
-    lhs = gates.PHI1 + gates.DELTA * gates.T4 / 2
-    rhs = gates.PHI2 - 3 * gates.DELTA * gates.T4 / 2
-    wrapped = (lhs - rhs) % (2 * math.pi)
-    return min(wrapped, 2 * math.pi - wrapped), 1e-13
-
-
-def _check_hadamard_gate() -> tuple[float, float]:
-    worst = 0.0
-    for qubit in ("A", "B"):
-        frame = encoding.qubit_frame(qubit)
-        got = gates.logical_unitary(gates.hadamard_sequence(qubit), frame)
-        worst = max(worst, float(np.abs(got - gates.analytic_reference("H")).max()))
-    return worst, 1e-12
-
-
-def _check_phase_gate() -> tuple[float, float]:
-    frame = encoding.qubit_frame("A")
-    worst = 0.0
-    for k in range(9):
-        theta = k * math.pi / 4
-        got = gates.logical_unitary(gates.phase_sequence(theta), frame)
-        worst = max(worst, float(np.abs(got - gates.analytic_reference("P", theta)).max()))
-    return worst, 1e-12
-
-
-def _check_spin_swap_phase() -> tuple[float, float]:
-    sub = chain.full_space(2)
-    u = np.column_stack(
-        [chain.apply_bond_pulse(0, 0.5, e, sub) for e in np.eye(4, dtype=np.complex128)]
-    )
-    expect = np.zeros((4, 4), dtype=np.complex128)
-    phase = cmath.exp(1j * gates.SPIN_SWAP_PHASE)
-    for pattern in range(4):
-        swapped = ((pattern & 1) << 1) | ((pattern >> 1) & 1)
-        expect[swapped, pattern] = phase
-    return float(np.abs(u - expect).max()), 1e-12
-
-
-def _check_cycle_permutation() -> tuple[float, float]:
-    sub = chain.enumerate_subspace(6, 2)
-    phase = cmath.exp(1j * gates.CYCLE_PHASE)
-    # column j evolves basis pattern j; all 15 go through the cycle as one block
-    final = gates.simulate(gates.cycle_sequence(), np.eye(sub.dim, dtype=np.complex128), sub)
-    expect = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
-    for j, pattern in enumerate(sub.states):
-        shifted = ((pattern << 1) | (pattern >> 5)) & 0b111111
-        expect[sub.index_of(shifted), j] = phase
-    return float(np.abs(final - expect).max()), 1e-12
-
-
-def _check_swap_gate() -> tuple[float, float]:
-    frame = encoding.pair_frame()
-    got = gates.logical_unitary(gates.swap_sequence(), frame, n_columns=4)
-    return float(np.abs(got - gates.analytic_reference("SWAP")).max()), 1e-12
-
-
-def _check_swap_phase() -> tuple[float, float]:
-    frame = encoding.pair_frame()
-    final = gates.simulate(gates.swap_sequence(), frame.vectors[:, 0], frame.subspace)
-    measured = float(np.angle(np.vdot(frame.vectors[:, 0], final)))
-    print(f"measured overall swap phase {measured:.17g}, expected {gates.PAIR_SWAP_PHASE:.17g}")
-    wrapped = (measured - gates.PAIR_SWAP_PHASE) % (2 * math.pi)
-    return min(wrapped, 2 * math.pi - wrapped), 1e-12
-
-
-def _check_full_space_oracle() -> tuple[float, float]:
-    frame = encoding.pair_frame()
-    psi0 = encoding.encode(np.array([0.5, 0.5, 0.5, 0.5]), frame)
-    in_sector = gates.simulate(gates.swap_sequence(), psi0, frame.subspace)
-    in_full = chain.full_space_oracle(gates.swap_sequence(), chain.embed_in_full_space(psi0, frame.subspace))
-    leakage = 1.0 - chain.sector_weight(in_full, frame.subspace)
-    agreement = float(np.abs(chain.restrict_to_sector(in_full, frame.subspace) - in_sector).max())
-    return max(agreement, abs(leakage)), 1e-12
-
-
-def _build_checks(corrupt_t2: float | None):
-    flip = _with_t2(gates.flip_sequence("A"), corrupt_t2)
-    core2 = _with_t2(gates.flip_sequence_uncorrected("A", solution=2), corrupt_t2)
-    core1 = gates.flip_sequence_uncorrected("A", solution=1)
-    return [
-        ("frame-orthonormality", _check_frame_orthonormality),
-        ("auxiliary-decoupling", _check_auxiliary_decoupling),
-        ("logical-projection", _check_logical_projection),
-        ("flip-annihilation", lambda: _check_flip_annihilation(core2, core1)),
-        ("flip-gate", lambda: _check_flip_gate(flip)),
-        ("flip-phase-condition", _check_flip_phase_condition),
-        ("hadamard-gate", _check_hadamard_gate),
-        ("phase-gate", _check_phase_gate),
-        ("spin-swap-phase", _check_spin_swap_phase),
-        ("cycle-permutation", _check_cycle_permutation),
-        ("swap-gate", _check_swap_gate),
-        ("swap-phase", _check_swap_phase),
-        ("full-space-oracle", _check_full_space_oracle),
-    ]
-
-
 def cmd_verify(args) -> int:
     if args.corrupt_t2 is not None and not math.isfinite(args.corrupt_t2):
         print(f"--corrupt-t2 must be a finite duration, got {args.corrupt_t2!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    checks = _build_checks(args.corrupt_t2)
-    names = [name for name, _ in checks]
-    if args.check is not None:
-        if args.check not in names:
-            print(f"unknown check {args.check!r}; choose from: {', '.join(names)}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        checks = [(n, f) for n, f in checks if n == args.check]
+    registry = checks.registry(args.corrupt_t2)
+    if args.check is not None and args.check not in registry:
+        print(f"unknown check {args.check!r}; choose from: {', '.join(registry)}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    names = list(registry) if args.check is None else [args.check]
     failures = 0
-    for name, func in checks:
-        error, tol = func()
-        ok = error <= tol
+    for name in names:
+        error, ok = registry[name].run()
         failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {tol:.1e})")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {registry[name].tolerance:.1e})")
     if failures:
-        print(f"{failures} of {len(checks)} checks failed")
+        print(f"{failures} of {len(names)} checks failed")
         return EXIT_VERIFY_FAILED
-    print(f"all {len(checks)} checks passed")
+    print(f"all {len(names)} checks passed")
     return EXIT_OK
 
 

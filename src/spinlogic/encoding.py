@@ -28,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from . import chain, linalg
+from . import chain
 
 NORMALIZATION_ATOL = 1e-9
 
@@ -158,5 +158,5 @@ def auxiliary_coupling(block: str = "A") -> np.ndarray:
     for i, bond in enumerate(BLOCK_BONDS[block]):
         h = chain.build_bond_hamiltonian(bond, frame.subspace)
         for j in range(2):
-            out[i, j] = aux.conj() @ linalg.apply(h, frame.vectors[:, j])
+            out[i, j] = aux.conj() @ (h @ frame.vectors[:, j])
     return out

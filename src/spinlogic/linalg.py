@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 
 
 def max_asymmetry(matrix: np.ndarray) -> float:
@@ -51,22 +50,3 @@ def propagator(matrix: np.ndarray, duration: float) -> np.ndarray:
     values, vectors = eig_hermitian(matrix)
     phases = np.exp(-1j * values * duration)
     return (vectors * phases) @ vectors.conj().T
-
-
-def apply(unitary: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a square operator to a state vector (or a column block of states)."""
-    u = np.asarray(unitary)
-    psi = np.asarray(state, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square operator, got shape {u.shape}")
-    if psi.shape[0] != u.shape[1]:
-        raise ValueError(f"dimension mismatch: operator {u.shape} on state of length {psi.shape[0]}")
-    return u @ psi
-
-
-def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    gram = m.conj().T @ m
-    return bool(np.abs(gram - np.eye(m.shape[0])).max() <= atol)

@@ -1,17 +1,14 @@
 """Acceptance gate: one test per release criterion, each printing a verdict line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the measured values
-next to their bounds.
+Criteria 1-5 run the analytic checks of `spinlogic verify` by name, from the
+one registry in spinlogic.checks. Run with `pytest tests/test_acceptance.py -v -s`
+to see the measured values next to their bounds.
 """
-import cmath
-import math
 import time
 
-import numpy as np
+from spinlogic import checks, noise
 
-from spinlogic import chain, encoding, gates, noise
-
-PI = math.pi
+REGISTRY = checks.registry()
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -19,109 +16,37 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def test_criterion_1_perfect_swap_on_the_logical_basis(frame_ab):
+def run_checks(*names: str) -> tuple[bool, str]:
+    """Run registry checks by name: whether all pass, and their verdicts on one line."""
+    all_ok, verdicts = True, []
+    for name in names:
+        error, ok = REGISTRY[name].run()
+        all_ok &= ok
+        verdicts.append(f"{'PASS' if ok else 'FAIL'} {name} max error {error:.3e} (tol {REGISTRY[name].tolerance:.1e})")
+    return all_ok, "; ".join(verdicts)
+
+
+def test_criterion_1_perfect_swap_on_the_logical_basis():
     start = time.perf_counter()
-    worst = 0.0
-    phase = cmath.exp(1j * PI / 4)
-    for i in range(4):
-        psi = gates.simulate(gates.swap_sequence(), frame_ab.vectors[:, i], frame_ab.subspace)
-        target = frame_ab.vectors[:, gates.SWAP_PERMUTATION[i]]
-        worst = max(worst, float(np.abs(psi - phase * target).max()))
+    ok, verdicts = run_checks("swap-gate")
     elapsed = time.perf_counter() - start
-    report(
-        1,
-        worst <= 1e-12 and elapsed < 1.0,
-        f"ideal swap maps all four logical basis states, max error {worst:.3e} "
-        f"(bound 1e-12) in {elapsed:.3f}s (bound 1s)",
-    )
+    report(1, ok and elapsed < 1.0, f"ideal swap on the four logical products: {verdicts} in {elapsed:.3f}s (bound 1s)")
 
 
-def test_criterion_2_flip_analytics(frame_a):
-    one = encoding.encode(np.array([1.0, 0.0]), frame_a)
-    worst_c0 = 0.0
-    for solution in (1, 2):
-        seq = gates.flip_sequence_uncorrected("A", solution)
-        amps, _ = encoding.decode(gates.simulate(seq, one, frame_a.subspace), frame_a, 2)
-        worst_c0 = max(worst_c0, abs(amps[0]))
-        flipped = abs(abs(amps[1]) - 1.0)
-        worst_c0 = max(worst_c0, flipped)
-    gate_err = float(
-        np.abs(gates.logical_unitary(gates.flip_sequence("A"), frame_a) - gates.analytic_reference("F")).max()
-    )
-    report(
-        2,
-        worst_c0 <= 1e-13 and gate_err <= 1e-12,
-        f"both timing solutions flip (residual {worst_c0:.3e}, bound 1e-13); "
-        f"corrected flip matches exp(i*{gates.FLIP_PHASE:.6f})*X to {gate_err:.3e} (bound 1e-12)",
-    )
+def test_criterion_2_flip_analytics():
+    report(2, *run_checks("flip-annihilation", "flip-gate"))
 
 
-def test_criterion_3_hadamard_and_phase_gates(frame_a):
-    had_err = float(
-        np.abs(gates.logical_unitary(gates.hadamard_sequence("A"), frame_a) - gates.analytic_reference("H")).max()
-    )
-    phase_err = 0.0
-    for k in range(9):  # includes 0, pi and 2*pi
-        theta = k * PI / 4
-        got = gates.logical_unitary(gates.phase_sequence(theta), frame_a)
-        phase_err = max(phase_err, float(np.abs(got - gates.analytic_reference("P", theta)).max()))
-    report(
-        3,
-        had_err <= 1e-12 and phase_err <= 1e-12,
-        f"hadamard error {had_err:.3e}, phase-gate error over 9 angles {phase_err:.3e} (bounds 1e-12)",
-    )
+def test_criterion_3_hadamard_and_phase_gates():
+    report(3, *run_checks("hadamard-gate", "phase-gate"))
 
 
-def test_criterion_4_permutation_phases(frame_ab):
-    # half-period pulse: exchange with phase exp(-i*pi/4) on every two-spin state
-    sub2 = chain.full_space(2)
-    swap_err = 0.0
-    phase = cmath.exp(1j * gates.SPIN_SWAP_PHASE)
-    for pattern in range(4):
-        start = np.zeros(4, dtype=np.complex128)
-        start[pattern] = 1.0
-        out = chain.apply_bond_pulse(0, 0.5, start, sub2)
-        exchanged = ((pattern & 1) << 1) | ((pattern >> 1) & 1)
-        swap_err = max(swap_err, abs(out[exchanged] - phase))
-
-    sub = frame_ab.subspace
-    cycle_err = 0.0
-    cycle_phase = cmath.exp(1j * gates.CYCLE_PHASE)
-    for pattern in sub.states:
-        start = np.zeros(sub.dim, dtype=np.complex128)
-        start[sub.index_of(pattern)] = 1.0
-        out = gates.simulate(gates.cycle_sequence(), start, sub)
-        shifted = ((pattern << 1) | (pattern >> 5)) & 0b111111
-        cycle_err = max(cycle_err, abs(out[sub.index_of(shifted)] - cycle_phase))
-
-    swap_overall = float(
-        np.abs(
-            gates.logical_unitary(gates.swap_sequence(), frame_ab, 4) - gates.analytic_reference("SWAP")
-        ).max()
-    )
-    report(
-        4,
-        max(swap_err, cycle_err, swap_overall) <= 1e-12,
-        f"spin-swap phase {swap_err:.3e}, cyclic-shift {cycle_err:.3e}, "
-        f"qubit-swap (phase pi/4) {swap_overall:.3e} (bounds 1e-12)",
-    )
+def test_criterion_4_permutation_phases():
+    report(4, *run_checks("spin-swap-phase", "cycle-permutation", "swap-gate"))
 
 
-def test_criterion_5_sector_evolution_matches_the_full_space(frame_ab):
-    rng = np.random.default_rng(2718)
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps /= np.linalg.norm(amps)
-    psi0 = encoding.encode(amps, frame_ab)
-    in_sector = gates.simulate(gates.swap_sequence(), psi0, frame_ab.subspace)
-    full = chain.full_space_oracle(gates.swap_sequence(), chain.embed_in_full_space(psi0, frame_ab.subspace))
-    agreement = float(np.abs(chain.restrict_to_sector(full, frame_ab.subspace) - in_sector).max())
-    leakage = abs(1.0 - chain.sector_weight(full, frame_ab.subspace))
-    report(
-        5,
-        agreement <= 1e-12 and leakage <= 1e-12,
-        f"15-state evolution vs 64-state oracle: max difference {agreement:.3e}, "
-        f"sector leakage {leakage:.3e} (bounds 1e-12)",
-    )
+def test_criterion_5_sector_evolution_matches_the_full_space():
+    report(5, *run_checks("full-space-oracle"))
 
 
 def test_criterion_6_error_scaling_reproduction(default_sweep):

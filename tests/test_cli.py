@@ -1,15 +1,12 @@
-import cmath
 import math
 import os
 import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from spinlogic import chain, cli, gates, noise
-from spinlogic.pulses import Pulse, PulseSequence
+from spinlogic import cli, gates, noise
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -61,29 +58,13 @@ def test_verify_fails_with_corrupted_timing(capsys):
     assert "flip" in out
 
 
-@pytest.mark.parametrize(
-    "broken",
-    [
-        lambda pulses: pulses[:2] + (Pulse(pulses[2].bond, 0.4, pulses[2].tag),) + pulses[3:],
-        lambda pulses: pulses[:-1],
-    ],
-    ids=["one-pulse-at-0.4", "one-pulse-dropped"],
-)
-def test_batched_cycle_check_fails_on_a_broken_cycle(capsys, monkeypatch, broken):
-    pulses = gates.cycle_sequence().pulses
-    monkeypatch.setattr(gates, "cycle_sequence", lambda: PulseSequence("cycle", broken(pulses)))
-    error, tol = cli._check_cycle_permutation()
-    assert error > tol
-    # the same error as fifteen one-pattern evolutions, so no column goes unchecked
-    sub = chain.enumerate_subspace(6, 2)
-    one_by_one = 0.0
-    for j, pattern in enumerate(sub.states):
-        final = gates.simulate(gates.cycle_sequence(), np.eye(sub.dim)[:, j], sub)
-        final[sub.index_of(((pattern << 1) | (pattern >> 5)) & 0b111111)] -= cmath.exp(1j * gates.CYCLE_PHASE)
-        one_by_one = max(one_by_one, float(np.abs(final).max()))
-    assert error == pytest.approx(one_by_one, rel=1e-12)
-    assert run_cli("verify", "--check", "cycle-permutation") == 1
-    assert capsys.readouterr().out.startswith("FAIL  cycle-permutation")
+def test_an_overflowing_corrupt_t2_fails_both_flip_checks_with_nan_and_no_warnings(capsys):
+    assert run_cli("verify", "--corrupt-t2", "1e308") == 1
+    captured = capsys.readouterr()
+    verdicts = {words[1]: words for words in map(str.split, captured.out.splitlines()) if words[0] in ("PASS", "FAIL")}
+    for name in ("flip-annihilation", "flip-gate"):
+        assert verdicts[name][0] == "FAIL" and verdicts[name][4] == "nan"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -128,12 +128,6 @@ def test_logical_projections_of_the_two_bonds(frame_a):
     assert math.hypot(gates.DELTA, gates.OMEGA) == pytest.approx(gates.LAMBDA)
 
 
-def test_auxiliary_state_is_exchange_decoupled():
-    for block in ("A", "B"):
-        coupling = encoding.auxiliary_coupling(block)
-        assert np.abs(coupling).max() < 1e-13
-
-
 def test_known_logical_matrix_elements(frame_a):
     # <0|V_inner|1> = -W/2 = sqrt(3)*pi/2 and <0|V_outer|0> = 3D/2 = -3*pi/2
     inner = encoding.project_bond(0, frame_a)

@@ -145,11 +145,6 @@ def test_single_outer_pulse_is_diagonal(t):
 # ---------------------------------------------------------------- gates
 
 
-def test_flip_matches_analytic_reference(frame_a):
-    got = gates.logical_unitary(gates.flip_sequence("A"), frame_a)
-    assert np.abs(got - gates.analytic_reference("F")).max() < 1e-12
-
-
 def test_flip_twice_is_a_global_phase(frame_a):
     u = gates.logical_unitary(gates.flip_sequence("A"), frame_a)
     twice = u @ u
@@ -171,11 +166,6 @@ def test_bare_flip_slot_phases_for_the_adopted_solution(frame_a):
     assert np.abs(u - expect).max() < 1e-12
 
 
-def test_hadamard_matches_analytic_reference(frame_a):
-    got = gates.logical_unitary(gates.hadamard_sequence("A"), frame_a)
-    assert np.abs(got - gates.analytic_reference("H")).max() < 1e-12
-
-
 def test_hadamard_twice_is_minus_identity(frame_a):
     u = gates.logical_unitary(gates.hadamard_sequence("A"), frame_a)
     assert np.abs(u @ u + np.eye(2)).max() < 1e-12
@@ -189,13 +179,6 @@ def test_hadamard_splits_a_basis_state_evenly(frame_a):
     assert abs(abs(amps[0]) - 1 / math.sqrt(2)) < 1e-12
     assert abs(abs(amps[1]) - 1 / math.sqrt(2)) < 1e-12
     assert leak < 1e-12
-
-
-def test_phase_gate_over_the_nine_point_grid(frame_a):
-    for k in range(9):
-        theta = k * PI / 4
-        got = gates.logical_unitary(gates.phase_sequence(theta), frame_a)
-        assert np.abs(got - gates.analytic_reference("P", theta)).max() < 1e-12
 
 
 def test_phase_gate_limits(frame_a):
@@ -220,17 +203,6 @@ def test_second_block_gates_match_the_first(frame_b):
     assert np.abs(got - gates.analytic_reference("P", 1.1)).max() < 1e-12
 
 
-def test_cycle_shifts_all_two_excitation_patterns(frame_ab):
-    sub = frame_ab.subspace
-    phase = cmath.exp(1j * gates.CYCLE_PHASE)
-    for pattern in sub.states:
-        start = np.zeros(sub.dim, dtype=np.complex128)
-        start[sub.index_of(pattern)] = 1.0
-        out = gates.simulate(gates.cycle_sequence(), start, sub)
-        shifted = ((pattern << 1) | (pattern >> 5)) & 0b111111
-        assert abs(out[sub.index_of(shifted)] - phase) < 1e-12
-
-
 def test_six_cycles_return_with_quarter_phase(frame_ab):
     sub = frame_ab.subspace
     start = np.zeros(sub.dim, dtype=np.complex128)
@@ -239,11 +211,6 @@ def test_six_cycles_return_with_quarter_phase(frame_ab):
     for _ in range(6):
         psi = gates.simulate(gates.cycle_sequence(), psi, sub)
     assert abs(np.vdot(start, psi) - cmath.exp(0.5j * PI)) < 1e-12
-
-
-def test_swap_permutes_logical_products_with_quarter_phase(frame_ab):
-    got = gates.logical_unitary(gates.swap_sequence(), frame_ab, n_columns=4)
-    assert np.abs(got - gates.analytic_reference("SWAP")).max() < 1e-12
 
 
 def test_swap_twice_is_a_global_phase(frame_ab):
