@@ -38,7 +38,7 @@ MAX_FULL_SPINS = 8
 class Subspace:
     """A fixed-excitation sector (or the full space, n_excitations=None).
 
-    Bond eigensystems are cached on the instance; enumerate_subspace and
+    Bond propagator factors are cached on the instance; enumerate_subspace and
     full_space hand out one shared instance per sector, so every caller reuses
     them without hashing the states.
     """
@@ -65,17 +65,11 @@ class Subspace:
         return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
-    def bond_eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(eigenvalues, eigenvector columns) of every bond generator, bond 0 first."""
-        return tuple(
-            linalg.eig_hermitian(build_bond_hamiltonian(bond, self)) for bond in range(self.n_spins - 1)
-        )
-
-    @cached_property
     def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per bond: V and V^dagger as C-contiguous complex arrays, and -1j * eigenvalues.
+        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, and -1j * eigenvalues.
 
-        These are what apply_bond_pulse multiplies by. Complex C-ordered copies
+        V and the eigenvalues come from the bond generator's eigendecomposition;
+        these are what apply_bond_pulse multiplies by. Complex C-ordered copies
         give products bit-identical to the real eigenvectors (numpy casts those
         the same way); F-ordered copies do not. Bonds whose -1j * eigenvalues
         are bitwise equal share one array object (every bond has the exchange
@@ -84,7 +78,8 @@ class Subspace:
         """
         spectra: dict[bytes, np.ndarray] = {}
         factors = []
-        for values, vectors in self.bond_eigensystems:
+        for bond in range(self.n_spins - 1):
+            values, vectors = linalg.eig_hermitian(build_bond_hamiltonian(bond, self))
             minus_i_values = -1j * values
             factors.append(
                 (
@@ -139,13 +134,6 @@ def build_bond_hamiltonian(bond: int, subspace: Subspace) -> np.ndarray:
     return matrix
 
 
-def bond_eigensystem(bond: int, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Cached eigendecomposition of V_bond on the subspace. Do not mutate the result."""
-    if not 0 <= bond <= subspace.n_spins - 2:
-        raise _bond_error(bond, subspace)
-    return subspace.bond_eigensystems[bond]
-
-
 def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
     """exp(-i V_bond t) applied to a vector or a (dim, m) column block."""
     factors = subspace.bond_factors
@@ -183,9 +171,9 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     """
     psi = np.asarray(initial_state, dtype=np.complex128)
     dim = psi.shape[0]
-    n_spins = dim.bit_length() - 1
-    if dim != 1 << n_spins:
+    if dim < 1 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
+    n_spins = dim.bit_length() - 1
     space = full_space(n_spins)
     index = np.arange(dim)
     # per bond, the index each basis pattern maps to with bits k and k+1 exchanged

@@ -2,7 +2,8 @@
 
 registry() lists them in the order `spinlogic verify` runs them. Each entry
 measures one error (the largest deviation from its closed form) and passes when
-that error is at most its tolerance; a NaN error fails. The flip checks can be
+that error is at most its tolerance; a NaN error fails. A check may also return
+a note on what it measured, which its caller prints. The flip checks can be
 fed a corrupted second pulse duration, the fault injector behind
 `verify --corrupt-t2`.
 """
@@ -19,14 +20,15 @@ from .pulses import Pulse, PulseSequence
 
 
 class Check(NamedTuple):
-    measure: Callable[[], float]
+    measure: Callable[[], float | tuple[float, str]]  # the error, or the error and a note
     tolerance: float
 
-    def run(self) -> tuple[float, bool]:
-        """The error and whether it is within tolerance; overflow shows as inf or NaN, not as warnings."""
+    def run(self) -> tuple[float, bool, str]:
+        """The error, whether it is within tolerance, and the note ("" if none); overflow shows as inf or NaN."""
         with np.errstate(over="ignore", invalid="ignore"):
-            error = self.measure()
-        return error, error <= self.tolerance
+            result = self.measure()
+        error, note = result if isinstance(result, tuple) else (result, "")
+        return error, error <= self.tolerance, note
 
 
 def _worst(errors) -> float:
@@ -119,12 +121,12 @@ def cycle_permutation() -> float:
     return float(np.abs(final - expect).max())
 
 
-def swap_phase() -> float:
+def swap_phase() -> tuple[float, str]:
     frame = encoding.pair_frame()
     final = gates.simulate(gates.swap_sequence(), frame.vectors[:, 0], frame.subspace)
     measured = float(np.angle(np.vdot(frame.vectors[:, 0], final)))
-    print(f"measured overall swap phase {measured:.17g}, expected {gates.PAIR_SWAP_PHASE:.17g}")
-    return _wrapped(measured - gates.PAIR_SWAP_PHASE)
+    note = f"measured overall swap phase {measured:.17g}, expected {gates.PAIR_SWAP_PHASE:.17g}"
+    return _wrapped(measured - gates.PAIR_SWAP_PHASE), note
 
 
 def full_space_oracle() -> float:

@@ -45,8 +45,10 @@ def cmd_verify(args) -> int:
     names = list(registry) if args.check is None else [args.check]
     failures = 0
     for name in names:
-        error, ok = registry[name].run()
+        error, ok, note = registry[name].run()
         failures += 0 if ok else 1
+        if note:
+            print(note)
         print(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {registry[name].tolerance:.1e})")
     if failures:
         print(f"{failures} of {len(names)} checks failed")
@@ -78,6 +80,7 @@ def _sequence(args) -> tuple[PulseSequence, float | None]:
 
 
 def _parse_amplitudes(raw: list[str], expected: int) -> np.ndarray:
+    """Exactly `expected` finite re,im pairs; encode checks the normalization."""
     if len(raw) != expected:
         raise ValueError(f"expected {expected} amplitudes (re,im pairs), got {len(raw)}")
     amps = []
@@ -89,44 +92,31 @@ def _parse_amplitudes(raw: list[str], expected: int) -> np.ndarray:
         if not cmath.isfinite(amp):
             raise ValueError(f"amplitude {chunk!r} is not finite")
         amps.append(amp)
-    amps = np.array(amps, dtype=np.complex128)
-    norm = encoding.squared_norm(amps)
-    if abs(norm - 1.0) > encoding.NORMALIZATION_ATOL:
-        raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm:.12g}")
-    return amps / math.sqrt(norm)
+    return np.array(amps, dtype=np.complex128)
 
 
 def cmd_simulate(args) -> int:
+    if args.gate == "SWAP":
+        frame, n_logical, target = encoding.pair_frame(), 4, "AB"
+    else:
+        frame, n_logical, target = encoding.qubit_frame(args.qubit), 2, args.qubit
     try:
         sequence, theta = _sequence(args)
-        if args.gate == "SWAP":
-            frame = encoding.pair_frame()
-            amps = _parse_amplitudes(args.state, 4)
-        else:
-            frame = encoding.qubit_frame(args.qubit)
-            amps = _parse_amplitudes(args.state, 2)
+        amps = _parse_amplitudes(args.state, n_logical)
         psi = gates.simulate(sequence, encoding.encode(amps, frame), frame.subspace)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    n_logical = 4 if args.gate == "SWAP" else 2
     out, leakage = encoding.decode(psi, frame, n_logical)
-    print(f"gate {args.gate} on qubit {args.qubit if args.gate != 'SWAP' else 'AB'}")
+    print(f"gate {args.gate} on qubit {target}")
     print(f"sequence: {sequence.product_string()}")
     unit = "deg" if args.degrees else "rad"
     for label, amp in zip(frame.labels, out):
         phase = math.degrees(cmath.phase(amp)) if args.degrees else cmath.phase(amp)
         print(f"  |{label}>  {amp.real:+.12f}{amp.imag:+.12f}i   |amp| {abs(amp):.12f}  phase {phase:+.12f} {unit}")
     print(f"leakage off the logical span: {leakage:.3e}")
-    if args.gate == "F":
-        print(f"analytic global phase: {gates.FLIP_PHASE:.17g} rad")
-    elif args.gate == "H":
-        print(f"analytic global phase: {gates.HADAMARD_PHASE:.17g} rad")
-    elif args.gate == "P":
-        print(f"analytic global phase: {gates.phase_gate_phase(theta):.17g} rad")
-    else:
-        print(f"analytic global phase: {gates.PAIR_SWAP_PHASE:.17g} rad")
+    print(f"analytic global phase: {gates.global_phase(args.gate, theta):.17g} rad")
     return EXIT_OK
 
 
@@ -146,46 +136,37 @@ def _read_config(path: str) -> dict[str, str]:
     return table
 
 
-_SWEEP_CONFIG_KEYS = {
-    "eps", "eps_min", "eps_max", "eps_points", "n_runs", "seed",
-    "p_mode", "q_mode", "out",
+# every sweep setting: its config-file type and its default (flags arrive typed by argparse)
+_SWEEP_SETTINGS = {
+    "eps": (str, None),
+    "eps_min": (float, noise.DEFAULT_EPS_GRID[0]),
+    "eps_max": (float, noise.DEFAULT_EPS_GRID[-1]),
+    "eps_points": (int, len(noise.DEFAULT_EPS_GRID)),
+    "n_runs": (int, noise.DEFAULT_N_RUNS),
+    "seed": (int, noise.DEFAULT_SEED),
+    "p_mode": (str, noise.DEFAULT_P_MODE),
+    "q_mode": (str, noise.DEFAULT_Q_MODE),
+    "out": (str, "sweep.csv"),
 }
 
 
 def _resolve_sweep_settings(args) -> tuple[dict, str]:
     """Merge defaults, environment, config file and flags (rightmost wins)."""
-    settings = {
-        "eps": None,
-        "eps_min": 1e-4,
-        "eps_max": 1e-2,
-        "eps_points": 8,
-        "n_runs": noise.DEFAULT_N_RUNS,
-        "seed": noise.DEFAULT_SEED,
-        "p_mode": "common",
-        "q_mode": "independent",
-        "out": "sweep.csv",
-    }
+    settings = {key: default for key, (_, default) in _SWEEP_SETTINGS.items()}
     seed_source = "default"
     if os.environ.get(SEED_ENV_VAR):
         settings["seed"] = int(os.environ[SEED_ENV_VAR])
         seed_source = f"env {SEED_ENV_VAR}"
     if args.config:
         table = _read_config(args.config)
-        unknown = set(table) - _SWEEP_CONFIG_KEYS
+        unknown = set(table) - set(_SWEEP_SETTINGS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in table.items():
-            if key == "eps":
-                settings["eps"] = value
-            elif key in ("eps_min", "eps_max"):
-                settings[key] = float(value)
-            elif key in ("eps_points", "n_runs", "seed"):
-                settings[key] = int(value)
-            else:
-                settings[key] = value
+            settings[key] = _SWEEP_SETTINGS[key][0](value)
         if "seed" in table:
             seed_source = f"config {args.config}"
-    for key in _SWEEP_CONFIG_KEYS:
+    for key in _SWEEP_SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -238,20 +219,19 @@ def cmd_sweep(args) -> int:
             for key in ("eps_min", "eps_max"):  # before np.geomspace, which warns on inf and nan
                 if not (math.isfinite(settings[key]) and settings[key] > 0):
                     raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {settings[key]!r}")
-            grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"],
-                                                   int(settings["eps_points"]))]
+            grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"], settings["eps_points"])]
         fresh = not os.path.lexists(settings["out"])
         with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
             pass
         try:
-            points = noise.sweep(grid, n_runs=int(settings["n_runs"]), seed=int(settings["seed"]),
+            points = noise.sweep(grid, n_runs=settings["n_runs"], seed=settings["seed"],
                                  p_mode=settings["p_mode"], q_mode=settings["q_mode"])
-        except ValueError:
+        except (ValueError, MemoryError):
             if fresh:  # a refused run leaves no file behind
                 os.remove(settings["out"])
             raise
         noise.write_csv(points, settings["out"])
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # MemoryError: numpy refusing a grid or n_runs too large
         print(str(err), file=sys.stderr)
         return EXIT_BAD_INPUT
     print(f"seed = {settings['seed']} (source: {seed_source})")

@@ -117,14 +117,17 @@ def squared_norm(amplitudes: np.ndarray) -> float:
 
 
 def encode(amplitudes: np.ndarray, frame: LogicalFrame) -> np.ndarray:
-    """Map logical amplitudes onto the first len(amplitudes) frame columns."""
+    """Map logical amplitudes onto the first len(amplitudes) frame columns.
+
+    A sum |c|^2 within NORMALIZATION_ATOL of 1 is rescaled to 1; any other is refused.
+    """
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or not 1 <= amps.shape[0] <= frame.n_columns:
         raise ValueError(f"expected 1..{frame.n_columns} amplitudes, got shape {amps.shape}")
     norm = squared_norm(amps)
     if not abs(norm - 1.0) <= NORMALIZATION_ATOL:  # also rejects NaN
         raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm:.12g}")
-    return frame.vectors[:, : amps.shape[0]] @ amps
+    return frame.vectors[:, : amps.shape[0]] @ (amps / math.sqrt(norm))
 
 
 def decode(state: np.ndarray, frame: LogicalFrame, n_columns: int | None = None) -> tuple[np.ndarray, float]:
@@ -153,10 +156,4 @@ def auxiliary_coupling(block: str = "A") -> np.ndarray:
     three-spin encoding workable.
     """
     frame = qubit_frame(block)
-    aux = frame.vectors[:, 2]
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for i, bond in enumerate(BLOCK_BONDS[block]):
-        h = chain.build_bond_hamiltonian(bond, frame.subspace)
-        for j in range(2):
-            out[i, j] = aux.conj() @ (h @ frame.vectors[:, j])
-    return out
+    return np.array([project_bond(bond, frame, 3)[2, :2] for bond in BLOCK_BONDS[block]])

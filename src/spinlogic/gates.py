@@ -159,25 +159,32 @@ def logical_unitary(sequence: PulseSequence, frame: encoding.LogicalFrame, n_col
     return block.conj().T @ evolved
 
 
+def global_phase(gate: str, theta: float | None = None) -> float:
+    """Closed-form global phase of a cataloged gate: F, H, P(theta) or SWAP."""
+    if gate == "P":
+        if theta is None:
+            raise ValueError("P needs theta")
+        return phase_gate_phase(theta)
+    phases = {"F": FLIP_PHASE, "H": HADAMARD_PHASE, "SWAP": PAIR_SWAP_PHASE}
+    if gate not in phases:
+        raise ValueError(f"unknown gate {gate!r}; expected F, H, P or SWAP")
+    return phases[gate]
+
+
 def analytic_reference(gate: str, theta: float | None = None) -> np.ndarray:
     """Closed-form logical matrix for a cataloged gate.
 
     F, H and P(theta) are 2x2 on one block's (C_0, C_1); SWAP is 4x4 on the
     logical products in B-major order.
     """
+    phase = cmath.exp(1j * global_phase(gate, theta))
     if gate == "F":
-        return cmath.exp(1j * FLIP_PHASE) * np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        return phase * np.array([[0, 1], [1, 0]], dtype=np.complex128)
     if gate == "H":
-        return cmath.exp(1j * HADAMARD_PHASE) / math.sqrt(2) * np.array(
-            [[1, 1], [1, -1]], dtype=np.complex128
-        )
+        return phase / math.sqrt(2) * np.array([[1, 1], [1, -1]], dtype=np.complex128)
     if gate == "P":
-        if theta is None:
-            raise ValueError("P needs theta")
-        return cmath.exp(1j * phase_gate_phase(theta)) * np.diag([1, cmath.exp(1j * theta)])
-    if gate == "SWAP":
-        matrix = np.zeros((4, 4), dtype=np.complex128)
-        for source, target in enumerate(SWAP_PERMUTATION):
-            matrix[target, source] = cmath.exp(1j * PAIR_SWAP_PHASE)
-        return matrix
-    raise ValueError(f"unknown gate {gate!r}; expected F, H, P or SWAP")
+        return phase * np.diag([1, cmath.exp(1j * theta)])
+    matrix = np.zeros((4, 4), dtype=np.complex128)
+    for source, target in enumerate(SWAP_PERMUTATION):
+        matrix[target, source] = phase
+    return matrix

@@ -46,6 +46,7 @@ DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-4, 1e-2, 8))
 OVERLAP_FLOOR = 1e-6
 
 NOISE_MODES = ("independent", "common")
+DEFAULT_P_MODE, DEFAULT_Q_MODE = "common", "independent"
 
 # reference power-law calibration for the default sweep, with acceptance bands
 REFERENCE_AMPLITUDE_P = 3.183e3
@@ -180,8 +181,8 @@ def sweep(
     eps_grid=DEFAULT_EPS_GRID,
     n_runs: int = DEFAULT_N_RUNS,
     seed: int = DEFAULT_SEED,
-    p_mode: str = "common",
-    q_mode: str = "independent",
+    p_mode: str = DEFAULT_P_MODE,
+    q_mode: str = DEFAULT_Q_MODE,
     n_workers: int = 1,
 ) -> list[SweepPoint]:
     """Monte-Carlo error sweep over a noise-strength grid, one trial at a time.
@@ -189,13 +190,10 @@ def sweep(
     Aggregation is over per-trial result arrays indexed by trial number, so
     running any trial alone from its substream gives the value the sweep
     used. n_workers accepts only 1: threads gave no speed-up, since a trial
-    is Python-bound and holds the interpreter lock. A negative seed, and an
-    epsilon whose trials overflow (non-finite P or Q, or an infinite
-    duration), raise ValueError.
+    is Python-bound and holds the interpreter lock. A negative seed, an
+    epsilon or mode NoiseModel refuses, and an epsilon whose trials overflow
+    (non-finite P or Q, or an infinite duration) raise ValueError.
     """
-    for mode in (p_mode, q_mode):
-        if mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
     if n_workers != 1:
@@ -205,18 +203,16 @@ def sweep(
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid:
         raise ValueError("the epsilon grid is empty")
-    for eps in eps_grid:
-        if not (math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"epsilon values must be finite and nonnegative, got {eps!r}")
+    # NoiseModel validates every epsilon and both modes before any trial runs
+    models = [(NoiseModel(eps, p_mode), NoiseModel(eps, q_mode)) for eps in eps_grid]
 
     points = []
-    for eps_index, eps in enumerate(eps_grid):
+    for eps_index, (p_noise, q_noise) in enumerate(models):
+        eps = p_noise.epsilon
         p_vals = np.empty(n_runs)
         q_vals = np.empty(n_runs)
         defined = np.empty(n_runs, dtype=bool)
         norm_errs = np.empty(n_runs)
-        p_noise = NoiseModel(eps, p_mode)
-        q_noise = NoiseModel(eps, q_mode)
         # near the float limit a duration overflows: a draw becomes inf (the Pulse
         # refuses it) or exp(-i*lambda*t) turns P and Q into NaN. Both are reported
         # once for the point, so numpy's per-pulse warnings are silenced here.

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from spinlogic import encoding, noise
+from spinlogic import chain, encoding, linalg, noise
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,21 @@ def frame_b():
 @pytest.fixture(scope="session")
 def frame_ab():
     return encoding.pair_frame()
+
+
+@pytest.fixture(scope="session")
+def textbook_pulse():
+    """exp(-i V_bond t) applied as V exp(-i lambda t) V^dagger, from a fresh eigendecomposition.
+
+    Shares no cache with chain.apply_bond_pulse, which it is the reference for.
+    Takes a vector or a (dim, m) column block.
+    """
+    def pulse(bond, t, state, sub):
+        values, vectors = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+        phases = np.exp(-1j * values * t)
+        weights = phases if state.ndim == 1 else phases[:, None]
+        return vectors @ (weights * (vectors.conj().T @ state))
+    return pulse
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ def run_checks(*names: str) -> tuple[bool, str]:
     """Run registry checks by name: whether all pass, and their verdicts on one line."""
     all_ok, verdicts = True, []
     for name in names:
-        error, ok = REGISTRY[name].run()
+        error, ok, _ = REGISTRY[name].run()
         all_ok &= ok
         verdicts.append(f"{'PASS' if ok else 'FAIL'} {name} max error {error:.3e} (tol {REGISTRY[name].tolerance:.1e})")
     return all_ok, "; ".join(verdicts)

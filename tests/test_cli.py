@@ -251,6 +251,18 @@ def test_sweep_rejects_an_unusable_epsilon_with_one_line(tmp_path, argv, message
     assert done.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("argv", [["--eps", "1e-3", "--n-runs", str(10**15)], ["--eps-points", str(10**15)]],
+                         ids=["n-runs", "eps-points"])
+def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, argv):
+    # 10**15 float64s are 7 PiB, past the address space, so numpy refuses before allocating
+    out = tmp_path / "huge.csv"
+    done = run_spinlogic("sweep", *argv, "--out", str(out))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "Unable to allocate" in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["eps-min", "eps-max"])
 def test_config_log_grid_bounds_are_checked(tmp_path, capsys, key):
     config = tmp_path / "run.cfg"
@@ -317,6 +329,29 @@ def test_config_file_feeds_the_sweep_and_flags_override(tmp_path, capsys):
                    "--out", str(tmp_path / "cfg2.csv")) == 0
     printed = capsys.readouterr().out
     assert "seed = 777 (source: flag)" in printed
+
+
+def test_every_config_key_matches_its_flag(tmp_path, capsys):
+    values = {"eps-min": "1e-3", "eps-max": "4e-3", "eps-points": "3", "n-runs": "15", "seed": "42",
+              "p-mode": "independent", "q-mode": "common"}
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                      + f"out = {tmp_path / 'cfg.csv'}\n")
+    assert run_cli("sweep", "--config", str(config)) == 0
+    flags = [item for key, value in values.items() for item in (f"--{key}", value)]
+    assert run_cli("sweep", *flags, "--out", str(tmp_path / "flags.csv")) == 0
+    capsys.readouterr()
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
+def test_config_rejects_a_bad_mode_with_one_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"eps = 1e-3\nn-runs = 5\np-mode = nope\nout = {tmp_path / 'cfg.csv'}\n")
+    assert run_cli("sweep", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"mode must be one of {noise.NOISE_MODES}, got 'nope'"]
+    assert not (tmp_path / "cfg.csv").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

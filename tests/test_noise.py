@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import chain, encoding, gates, noise
+from spinlogic import encoding, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -316,7 +316,7 @@ def test_trials_conserve_the_norm(seed):
     assert norm_err < 1e-12
 
 
-def _textbook_trial(p_noise, q_noise, rng):
+def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     """_run_trial written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions."""
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
@@ -324,10 +324,7 @@ def _textbook_trial(p_noise, q_noise, rng):
 
     def evolve(sequence, state):
         for pulse in sequence:
-            values, vectors = chain.bond_eigensystem(pulse.bond, frame.subspace)
-            phases = np.exp(-1j * values * pulse.duration)
-            weights = phases if state.ndim == 1 else phases[:, None]
-            state = vectors @ (weights * (vectors.conj().T @ state))
+            state = textbook_pulse(pulse.bond, pulse.duration, state, frame.subspace)
         return state
 
     initial = int(rng.integers(4))
@@ -352,12 +349,12 @@ def _same(a, b):
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: some durations overflow -i*lambda*t
-def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps):
+def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
     p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     with np.errstate(all="ignore"):
         for trial in range(40):
             got = noise._run_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
-            want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
+            want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
             assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
             assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
 
