@@ -150,12 +150,19 @@ _SWEEP_SETTINGS = {
 }
 
 
+def _convert_setting(key: str, text: str, source: str):
+    try:
+        return _SWEEP_SETTINGS[key][0](text)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
 def _resolve_sweep_settings(args) -> tuple[dict, str]:
     """Merge defaults, environment, config file and flags (rightmost wins)."""
     settings = {key: default for key, (_, default) in _SWEEP_SETTINGS.items()}
     seed_source = "default"
     if os.environ.get(SEED_ENV_VAR):
-        settings["seed"] = int(os.environ[SEED_ENV_VAR])
+        settings["seed"] = _convert_setting("seed", os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
         seed_source = f"env {SEED_ENV_VAR}"
     if args.config:
         table = _read_config(args.config)
@@ -163,7 +170,7 @@ def _resolve_sweep_settings(args) -> tuple[dict, str]:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in table.items():
-            settings[key] = _SWEEP_SETTINGS[key][0](value)
+            settings[key] = _convert_setting(key, value, f"{args.config}: {key.replace('_', '-')}")
         if "seed" in table:
             seed_source = f"config {args.config}"
     for key in _SWEEP_SETTINGS:
@@ -243,11 +250,10 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     try:
         points = noise.read_csv(args.csv)
+        if not points:
+            raise ValueError("CSV holds no sweep points")
     except (ValueError, OSError) as err:
         print(str(err), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not points:
-        print("CSV holds no sweep points", file=sys.stderr)
         return EXIT_BAD_INPUT
     return _fit_and_report(points)
 

@@ -31,9 +31,11 @@ the order in which trials run.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,8 +58,6 @@ AMPLITUDE_BAND_P = (REFERENCE_AMPLITUDE_P / 2, REFERENCE_AMPLITUDE_P * 2)
 EXPONENT_BAND_Q = (0.95, 1.05)
 AMPLITUDE_BAND_Q = (8.7, 11.7)
 
-CSV_HEADER = "epsilon,n_runs,mean_P,std_P,stderr_P,mean_Q,std_Q,stderr_Q,excluded_trials"
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -73,7 +73,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated errors at one noise strength. max_norm_error is not persisted."""
+    """Aggregated errors at one noise strength; the CSV persists the first nine fields, not max_norm_error."""
 
     epsilon: float
     n_runs: int
@@ -87,6 +87,10 @@ class SweepPoint:
     max_norm_error: float = float("nan")
 
 
+CSV_HEADER = "epsilon,n_runs,mean_P,std_P,stderr_P,mean_Q,std_Q,stderr_Q,excluded_trials"
+_CSV_COLUMNS = tuple((name, get_type_hints(SweepPoint)[name]) for name in CSV_HEADER.lower().split(","))
+
+
 @dataclass(frozen=True)
 class PowerFit:
     channel: str
@@ -96,11 +100,9 @@ class PowerFit:
     n_points: int
 
     def json(self) -> str:
-        return (
-            f'{{"channel": "{self.channel}", "amplitude": {self.amplitude:.17g}, '
-            f'"exponent": {self.exponent:.17g}, "chi2": {self.chi2:.17g}, '
-            f'"n_points": {self.n_points}}}'
-        )
+        """One strict JSON line of the fields; a non-finite number is written as null."""
+        return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value) else value
+                           for key, value in asdict(self).items()}, allow_nan=False)
 
 
 def perturb(sequence: PulseSequence, noise: NoiseModel, rng: np.random.Generator) -> PulseSequence:
@@ -227,21 +229,18 @@ def sweep(
         kept = q_vals[defined]
         if not (np.isfinite(p_vals).all() and np.isfinite(kept).all()):
             raise ValueError(f"epsilon {eps!r} overflows the trials: P or Q is not finite")
-        points.append(
-            SweepPoint(
-                epsilon=eps,
-                n_runs=n_runs,
-                mean_p=float(np.mean(p_vals)),
-                std_p=float(np.std(p_vals, ddof=1)) if n_runs > 1 else 0.0,
-                stderr_p=float(np.std(p_vals, ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0,
-                mean_q=float(np.mean(kept)) if kept.size else math.nan,
-                std_q=float(np.std(kept, ddof=1)) if kept.size > 1 else 0.0,
-                stderr_q=float(np.std(kept, ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0,
-                excluded_trials=int(n_runs - kept.size),
-                max_norm_error=float(norm_errs.max()),
-            )
-        )
+        points.append(SweepPoint(eps, n_runs, *_summary(p_vals), *_summary(kept),
+                                 int(n_runs - kept.size), float(norm_errs.max())))
     return points
+
+
+def _summary(values: np.ndarray) -> tuple[float, float, float]:
+    """(mean, std, stderr) with ddof=1: no values give a NaN mean, fewer than two give 0.0 spreads."""
+    mean = float(np.mean(values)) if values.size else math.nan
+    if values.size < 2:
+        return mean, 0.0, 0.0
+    std = float(np.std(values, ddof=1))
+    return mean, std, std / math.sqrt(values.size)
 
 
 def fit_power_law(points: list[SweepPoint], channel: str) -> PowerFit:
@@ -254,8 +253,7 @@ def fit_power_law(points: list[SweepPoint], channel: str) -> PowerFit:
     if channel not in ("P", "Q"):
         raise ValueError(f"channel must be 'P' or 'Q', got {channel!r}")
     eps = np.array([p.epsilon for p in points])
-    means = np.array([p.mean_p if channel == "P" else p.mean_q for p in points])
-    errs = np.array([p.stderr_p if channel == "P" else p.stderr_q for p in points])
+    means, errs = (np.array([getattr(p, f"{stat}_{channel.lower()}") for p in points]) for stat in ("mean", "stderr"))
     keep = (eps > 0) & np.isfinite(means) & (means > 0)
     if keep.sum() < 3:
         raise ValueError(f"power-law fit needs at least 3 positive points, got {int(keep.sum())}")
@@ -275,13 +273,9 @@ def write_csv(points: list[SweepPoint], path) -> None:
 
 
 def csv_text(points: list[SweepPoint]) -> str:
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(
-            f"{p.epsilon:.17g},{p.n_runs},{p.mean_p:.17g},{p.std_p:.17g},{p.stderr_p:.17g},"
-            f"{p.mean_q:.17g},{p.std_q:.17g},{p.stderr_q:.17g},{p.excluded_trials}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [",".join(format(getattr(p, name), ".17g" if kind is float else "d") for name, kind in _CSV_COLUMNS)
+            for p in points]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def read_csv(path) -> list[SweepPoint]:
@@ -291,26 +285,22 @@ def read_csv(path) -> list[SweepPoint]:
         raise ValueError(f"bad sweep CSV: expected header {CSV_HEADER!r}")
     points = []
     for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 9:
-            raise ValueError(f"bad sweep CSV row: {line!r}")
-        point = SweepPoint(
-            epsilon=float(cells[0]),
-            n_runs=int(cells[1]),
-            mean_p=float(cells[2]),
-            std_p=float(cells[3]),
-            stderr_p=float(cells[4]),
-            mean_q=float(cells[5]),
-            std_q=float(cells[6]),
-            stderr_q=float(cells[7]),
-            excluded_trials=int(cells[8]),
-        )
-        # rows that no sweep can write
-        if point.n_runs < 1:
-            raise ValueError(f"bad sweep CSV row: {line!r} (n_runs must be at least 1)")
-        if not 0 <= point.excluded_trials <= point.n_runs:
-            raise ValueError(f"bad sweep CSV row: {line!r} (excluded_trials must lie in [0, n_runs])")
-        if not (math.isfinite(point.epsilon) and point.epsilon >= 0):
-            raise ValueError(f"bad sweep CSV row: {line!r} (epsilon must be finite and nonnegative)")
-        points.append(point)
+        try:
+            if len(cells := line.split(",")) != len(_CSV_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, expected {len(_CSV_COLUMNS)}")
+            p = SweepPoint(**{name: kind(cell) for (name, kind), cell in zip(_CSV_COLUMNS, cells)})
+            spreads = (p.std_p, p.stderr_p, p.std_q, p.stderr_q)
+            for ok, rule in (  # rows that no sweep writes
+                (p.n_runs >= 1, "n_runs must be at least 1"),
+                (0 <= p.excluded_trials <= p.n_runs, "excluded_trials must lie in [0, n_runs]"),
+                (0 <= p.epsilon < math.inf, "epsilon must be finite and nonnegative"),
+                (all(0 <= s < math.inf for s in spreads), "spreads must be finite and nonnegative"),
+                (math.isfinite(p.mean_p), "mean_P must be finite"),
+                (math.isfinite(p.mean_q) or p.excluded_trials == p.n_runs, "mean_Q must be finite if a trial was kept"),
+            ):
+                if not ok:
+                    raise ValueError(rule)
+        except ValueError as err:
+            raise ValueError(f"bad sweep CSV row: {line!r} ({err})") from None
+        points.append(p)
     return points

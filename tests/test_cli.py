@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -283,21 +284,26 @@ def test_a_refused_sweep_leaves_out_as_it_was(tmp_path, argv):
     assert not new.exists() and old.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_sweep_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize(
+    "source, seed, message",
+    [("flag", "-1", "seed must be nonnegative, got -1"), ("env", "-1", "seed must be nonnegative, got -1"),
+     ("env", "abc", "SPINLOGIC_SEED: invalid literal for int() with base 10: 'abc'")],
+    ids=["flag", "env", "env-not-an-integer"],
+)
+def test_sweep_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, seed, message):
     def no_trials(*args):
         raise AssertionError("a trial ran before the seed was checked")
 
     monkeypatch.setattr(noise, "_run_trial", no_trials)
     argv = ["sweep", "--eps", "1e-3", "--n-runs", "10", "--out", str(tmp_path / "sweep.csv")]
     if source == "flag":
-        argv += ["--seed", "-1"]
+        argv += ["--seed", seed]
     else:
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["seed must be nonnegative, got -1"]
+    assert captured.err.splitlines() == [message]
 
 
 def test_seed_from_environment_is_echoed(tmp_path, capsys, monkeypatch):
@@ -346,12 +352,16 @@ def test_every_config_key_matches_its_flag(tmp_path, capsys):
 
 def test_config_rejects_a_bad_mode_with_one_line(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text(f"eps = 1e-3\nn-runs = 5\np-mode = nope\nout = {tmp_path / 'cfg.csv'}\n")
-    assert run_cli("sweep", "--config", str(config)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"mode must be one of {noise.NOISE_MODES}, got 'nope'"]
-    assert not (tmp_path / "cfg.csv").exists()
+    for lines, message in (
+        ("n-runs = 5\np-mode = nope", f"mode must be one of {noise.NOISE_MODES}, got 'nope'"),
+        ("n-runs = abc", f"{config}: n-runs: invalid literal for int() with base 10: 'abc'"),
+    ):
+        config.write_text(f"eps = 1e-3\n{lines}\nout = {tmp_path / 'cfg.csv'}\n")
+        assert run_cli("sweep", "--config", str(config)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        assert not (tmp_path / "cfg.csv").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -379,6 +389,13 @@ def test_fit_command_refits_a_csv(tmp_path, capsys):
     assert "low-statistics" in printed
 
 
+def test_fit_lines_are_strict_json(tmp_path, capsys):
+    # one run per point gives zero standard errors, so chi-squared is infinite
+    assert run_cli("sweep", "--eps", "1e-3,2e-3,3e-3", "--n-runs", "1", "--out", str(tmp_path / "one.csv")) == 0
+    fits = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert [(fit["channel"], fit["chi2"]) for fit in fits] == [("P", None), ("Q", None)]
+
+
 def test_refused_fit_with_asserted_bands_is_a_verification_failure(tmp_path, capsys):
     csv = tmp_path / "zero.csv"
     csv.write_text(noise.CSV_HEADER + "\n" + "".join(
@@ -392,7 +409,10 @@ def test_refused_fit_with_asserted_bands_is_a_verification_failure(tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "row", ["0.001,0,0,0,0,0,0,0,0", "0.001,10,0,0,0,0,0,0,11", "-0.001,10,0,0,0,0,0,0,0", "nan,10,0,0,0,0,0,0,0"]
+    "row",
+    ["0.001,0,0,0,0,0,0,0,0", "0.001,10,0,0,0,0,0,0,11", "-0.001,10,0,0,0,0,0,0,0", "nan,10,0,0,0,0,0,0,0",
+     "1e-3,10,1e-6,-1,1e-7,1e-3,1e-3,1e-4,0", "0.001,10,nan,0,0,0,0,0,0", "0.001,10,0,0,nan,0,0,0,0",
+     "0.001,10,0,0,0,nan,0,0,0", "0.001,1.5,0,0,0,0,0,0,0", "0.001,10,abc,0,0,0,0,0,0"],
 )
 def test_fit_rejects_a_row_no_sweep_writes(tmp_path, capsys, row):
     csv = tmp_path / "bad.csv"

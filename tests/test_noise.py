@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import warnings
@@ -170,17 +172,18 @@ def test_an_overflowing_epsilon_is_refused_without_warnings(grid, eps):
 
 
 def test_csv_round_trip(tmp_path):
-    points = noise.sweep([1e-3, 3e-3], n_runs=30)
+    columns = noise.CSV_HEADER.lower().split(",")
+    assert [field.name for field in dataclasses.fields(noise.SweepPoint)][: len(columns)] == columns
+    # the last point is what a sweep writes when every trial is excluded: a NaN phase mean
+    points = noise.sweep([1e-3, 3e-3], n_runs=30) + [noise.SweepPoint(3.0, 5, 0.5, 0.25, 0.125, math.nan, 0.0, 0.0, 5)]
     path = tmp_path / "sweep.csv"
     noise.write_csv(points, path)
     text = path.read_text()
     assert text.splitlines()[0] == noise.CSV_HEADER
     back = noise.read_csv(path)
+    assert len(back) == len(points)
     for original, loaded in zip(points, back):
-        assert loaded.epsilon == original.epsilon
-        assert loaded.mean_p == original.mean_p
-        assert loaded.stderr_q == original.stderr_q
-        assert loaded.excluded_trials == original.excluded_trials
+        np.testing.assert_array_equal([getattr(loaded, c) for c in columns], [getattr(original, c) for c in columns])
 
 
 def test_read_csv_rejects_garbage(tmp_path):
@@ -204,12 +207,18 @@ def test_read_csv_rejects_garbage(tmp_path):
         "nan,10,0,0,0,0,0,0,0",
         "inf,10,0,0,0,0,0,0,0",
         "-inf,10,0,0,0,0,0,0,0",
+        "1e-3,10,1e-6,-1,1e-7,1e-3,1e-3,1e-4,0",  # a spread negative or not finite
+        "0.001,10,0,0,nan,0,0,0,0",
+        "0.001,10,nan,0,0,0,0,0,0",  # mean_P not finite
+        "0.001,10,0,0,0,nan,0,0,0",  # mean_Q not finite though no trial was excluded
+        "0.001,1.5,0,0,0,0,0,0,0",  # a cell that does not convert
+        "0.001,10,abc,0,0,0,0,0,0",
     ],
 )
 def test_read_csv_rejects_rows_no_sweep_writes(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"{noise.CSV_HEADER}\n0.002,10,0,0,0,0,0,0,10\n{row}\n")  # the first row is legal
-    with pytest.raises(ValueError, match=re.escape(f"bad sweep CSV row: {row!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"bad sweep CSV row: {row!r} (")):
         noise.read_csv(path)
 
 
@@ -302,6 +311,9 @@ def test_fit_json_shape():
     assert text.startswith('{"channel": "P", "amplitude": 3183')
     assert '"exponent": 3.998' in text
     assert '"n_points": 8' in text
+    for chi2 in (math.inf, math.nan):  # strict JSON has no such numbers
+        assert json.loads(noise.PowerFit("Q", 10.5, 1.0, chi2, 3).json()) == {
+            "channel": "Q", "amplitude": 10.5, "exponent": 1.0, "chi2": None, "n_points": 3}
 
 
 # ---------------------------------------------------------------- statistics
