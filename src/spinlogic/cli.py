@@ -36,12 +36,10 @@ EXIT_BAD_INPUT = 2
 
 def cmd_verify(args) -> int:
     if args.corrupt_t2 is not None and not math.isfinite(args.corrupt_t2):
-        print(f"--corrupt-t2 must be a finite duration, got {args.corrupt_t2!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--corrupt-t2 must be a finite duration, got {args.corrupt_t2!r}")
     registry = checks.registry(args.corrupt_t2)
     if args.check is not None and args.check not in registry:
-        print(f"unknown check {args.check!r}; choose from: {', '.join(registry)}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"unknown check {args.check!r}; choose from: {', '.join(registry)}")
     names = list(registry) if args.check is None else [args.check]
     failures = 0
     for name in names:
@@ -100,14 +98,9 @@ def cmd_simulate(args) -> int:
         frame, n_logical, target = encoding.pair_frame(), 4, "AB"
     else:
         frame, n_logical, target = encoding.qubit_frame(args.qubit), 2, args.qubit
-    try:
-        sequence, theta = _sequence(args)
-        amps = _parse_amplitudes(args.state, n_logical)
-        psi = gates.simulate(sequence, encoding.encode(amps, frame), frame.subspace)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    sequence, theta = _sequence(args)
+    amps = _parse_amplitudes(args.state, n_logical)
+    psi = gates.simulate(sequence, encoding.encode(amps, frame), frame.subspace)
     out, leakage = encoding.decode(psi, frame, n_logical)
     print(f"gate {args.gate} on qubit {target}")
     print(f"sequence: {sequence.product_string()}")
@@ -136,17 +129,22 @@ def _read_config(path: str) -> dict[str, str]:
     return table
 
 
-# every sweep setting: its config-file type and its default (flags arrive typed by argparse)
+def _grid(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+_MODES = " or ".join(noise.NOISE_MODES)
+# every sweep setting: the converter of its text (flag, config file or environment), its default, its help
 _SWEEP_SETTINGS = {
-    "eps": (str, None),
-    "eps_min": (float, noise.DEFAULT_EPS_GRID[0]),
-    "eps_max": (float, noise.DEFAULT_EPS_GRID[-1]),
-    "eps_points": (int, len(noise.DEFAULT_EPS_GRID)),
-    "n_runs": (int, noise.DEFAULT_N_RUNS),
-    "seed": (int, noise.DEFAULT_SEED),
-    "p_mode": (str, noise.DEFAULT_P_MODE),
-    "q_mode": (str, noise.DEFAULT_Q_MODE),
-    "out": (str, "sweep.csv"),
+    "eps": (_grid, None, "comma-separated noise strengths (overrides the log grid)"),
+    "eps_min": (float, noise.DEFAULT_EPS_GRID[0], None),
+    "eps_max": (float, noise.DEFAULT_EPS_GRID[-1], None),
+    "eps_points": (int, len(noise.DEFAULT_EPS_GRID), None),
+    "n_runs": (int, noise.DEFAULT_N_RUNS, None),
+    "seed": (int, noise.DEFAULT_SEED, None),
+    "p_mode": (str, noise.DEFAULT_P_MODE, f"P-channel noise, {_MODES} (default {noise.DEFAULT_P_MODE})"),
+    "q_mode": (str, noise.DEFAULT_Q_MODE, f"Q-channel noise, {_MODES} (default {noise.DEFAULT_Q_MODE})"),
+    "out": (str, "sweep.csv", "CSV output path (default sweep.csv)"),
 }
 
 
@@ -159,7 +157,7 @@ def _convert_setting(key: str, text: str, source: str):
 
 def _resolve_sweep_settings(args) -> tuple[dict, str]:
     """Merge defaults, environment, config file and flags (rightmost wins)."""
-    settings = {key: default for key, (_, default) in _SWEEP_SETTINGS.items()}
+    settings = {key: default for key, (_, default, _) in _SWEEP_SETTINGS.items()}
     seed_source = "default"
     if os.environ.get(SEED_ENV_VAR):
         settings["seed"] = _convert_setting("seed", os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
@@ -174,9 +172,9 @@ def _resolve_sweep_settings(args) -> tuple[dict, str]:
         if "seed" in table:
             seed_source = f"config {args.config}"
     for key in _SWEEP_SETTINGS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
-            settings[key] = flag
+            settings[key] = _convert_setting(key, flag, f"--{key.replace('_', '-')}")
             if key == "seed":
                 seed_source = "flag"
     return settings, seed_source
@@ -218,29 +216,26 @@ def _fit_and_report(points: list[noise.SweepPoint]) -> int:
 
 
 def cmd_sweep(args) -> int:
+    settings, seed_source = _resolve_sweep_settings(args)
+    grid = settings["eps"]
+    if grid is None:
+        for key in ("eps_min", "eps_max"):  # before np.geomspace, which warns on inf and nan
+            if not (math.isfinite(settings[key]) and settings[key] > 0):
+                raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {settings[key]!r}")
+        if settings["eps_points"] < 0:  # np.geomspace's own message names no setting
+            raise ValueError(f"eps-points must be nonnegative, got {settings['eps_points']}")
+        grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"], settings["eps_points"])]
+    fresh = not os.path.lexists(settings["out"])
+    with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
+        pass
     try:
-        settings, seed_source = _resolve_sweep_settings(args)
-        if settings["eps"] is not None:
-            grid = [float(x) for x in str(settings["eps"]).split(",")]
-        else:
-            for key in ("eps_min", "eps_max"):  # before np.geomspace, which warns on inf and nan
-                if not (math.isfinite(settings[key]) and settings[key] > 0):
-                    raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {settings[key]!r}")
-            grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"], settings["eps_points"])]
-        fresh = not os.path.lexists(settings["out"])
-        with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
-            pass
-        try:
-            points = noise.sweep(grid, n_runs=settings["n_runs"], seed=settings["seed"],
-                                 p_mode=settings["p_mode"], q_mode=settings["q_mode"])
-        except (ValueError, MemoryError):
-            if fresh:  # a refused run leaves no file behind
-                os.remove(settings["out"])
-            raise
-        noise.write_csv(points, settings["out"])
-    except (ValueError, OSError, MemoryError) as err:  # MemoryError: numpy refusing a grid or n_runs too large
-        print(str(err), file=sys.stderr)
-        return EXIT_BAD_INPUT
+        points = noise.sweep(grid, n_runs=settings["n_runs"], seed=settings["seed"],
+                             p_mode=settings["p_mode"], q_mode=settings["q_mode"])
+    except (ValueError, MemoryError):
+        if fresh:  # a refused run leaves no file behind
+            os.remove(settings["out"])
+        raise
+    noise.write_csv(points, settings["out"])
     print(f"seed = {settings['seed']} (source: {seed_source})")
     print(f"modes: P channel {settings['p_mode']}, Q channel {settings['q_mode']}")
     print(f"wrote {len(points)} points x {settings['n_runs']} runs to {settings['out']}")
@@ -248,28 +243,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        points = noise.read_csv(args.csv)
-        if not points:
-            raise ValueError("CSV holds no sweep points")
-    except (ValueError, OSError) as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    points = noise.read_csv(args.csv)
+    if not points:
+        raise ValueError("CSV holds no sweep points")
     return _fit_and_report(points)
 
 
 # ---------------------------------------------------------------- schedules
 
 def cmd_export_schedule(args) -> int:
-    try:
-        seq, _ = _sequence(args)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(seq.schedule_text())
-    except (ValueError, OSError) as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    seq, _ = _sequence(args)
     if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(seq.schedule_text())
         print(f"wrote {len(seq)} pulses to {args.out}")
     else:
         sys.stdout.write(seq.schedule_text())
@@ -299,15 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="logical amplitudes: two pairs, or four for SWAP")
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo error sweep with power-law fits")
-    p_sweep.add_argument("--eps", help="comma-separated noise strengths (overrides the log grid)")
-    p_sweep.add_argument("--eps-min", type=float, dest="eps_min")
-    p_sweep.add_argument("--eps-max", type=float, dest="eps_max")
-    p_sweep.add_argument("--eps-points", type=int, dest="eps_points")
-    p_sweep.add_argument("--n-runs", type=int, dest="n_runs")
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--p-mode", choices=noise.NOISE_MODES, dest="p_mode")
-    p_sweep.add_argument("--q-mode", choices=noise.NOISE_MODES, dest="q_mode")
-    p_sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
+    for key, (_, _, text) in _SWEEP_SETTINGS.items():  # no type=: _resolve_sweep_settings converts the text
+        p_sweep.add_argument(f"--{key.replace('_', '-')}", help=text)
     p_sweep.add_argument("--config", help="key=value file mirroring these flags; flags override it")
 
     p_fit = sub.add_parser("fit", help="re-fit an existing sweep CSV")
@@ -327,8 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # looked up per call, so a handler replaced after the parser was built still runs
-    return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+    try:
+        # looked up per call, so a handler replaced after the parser was built still runs
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+    except (ValueError, OSError, MemoryError) as err:  # MemoryError: numpy refusing a grid or n_runs too large
+        print(str(err), file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

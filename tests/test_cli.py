@@ -24,6 +24,28 @@ def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+# ---------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["verify", "--check", "nonsense"], "unknown check 'nonsense'; choose from: frame-orthonormality, "),
+        (["simulate", "--gate", "F", "--state", "1,0"], "expected 2 amplitudes (re,im pairs), got 1"),
+        (["sweep", "--eps", "abc", "--out", "/nonexistent/sweep.csv"], "--eps: could not convert string to float: 'abc'"),
+        (["fit", "--csv", "/nonexistent/sweep.csv"], "[Errno 2] No such file or directory: '/nonexistent/sweep.csv'"),
+        (["export-schedule", "--gate", "P"], "gate P needs --theta"),
+    ],
+    ids=["verify", "simulate", "sweep", "fit", "export-schedule"],
+)
+def test_every_command_reports_bad_input_in_one_line(argv, message):
+    done = run_spinlogic(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message)
+    assert "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -261,6 +283,34 @@ def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and "Unable to allocate" in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "message"),
+    [
+        (["--eps", "1e-3,abc"], None, "--eps: could not convert string to float: 'abc'"),
+        (["--eps", "1e-3,,2e-3"], None, "--eps: could not convert string to float: ''"),
+        ([], "eps = 1e-3,abc", "{config}: eps: could not convert string to float: 'abc'"),
+        (["--n-runs", "abc"], None, "--n-runs: invalid literal for int() with base 10: 'abc'"),
+        (["--eps-points", "-1"], None, "eps-points must be nonnegative, got -1"),
+        ([], "eps-points = -1", "eps-points must be nonnegative, got -1"),
+        (["--eps", "1e-3", "--p-mode", "nope"], None, f"mode must be one of {noise.NOISE_MODES}, got 'nope'"),
+    ],
+    ids=["eps-flag", "eps-flag-empty-item", "eps-config", "n-runs-flag", "eps-points-flag", "eps-points-config",
+         "p-mode-flag"],
+)
+def test_a_bad_sweep_setting_is_one_line_naming_it(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "sweep.csv"
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv = [*argv, "--config", str(path)]
+        message = message.format(config=path)
+    assert run_cli("sweep", *argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
     assert not out.exists()
 
 
