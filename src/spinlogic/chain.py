@@ -38,9 +38,9 @@ MAX_FULL_SPINS = 8
 class Subspace:
     """A fixed-excitation sector (or the full space, n_excitations=None).
 
-    Bond propagator factors are cached on the instance; enumerate_subspace and
-    full_space hand out one shared instance per sector, so every caller reuses
-    them without hashing the states.
+    Bond generators and propagator factors are cached on the instance;
+    enumerate_subspace and full_space hand out one shared instance per sector,
+    so every caller reuses them without hashing the states.
     """
 
     n_spins: int
@@ -65,6 +65,14 @@ class Subspace:
         return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
+    def bond_generators(self) -> tuple[np.ndarray, ...]:
+        """Per bond, bond 0 first: the exchange generator, built once and read-only."""
+        generators = tuple(build_bond_hamiltonian(bond, self) for bond in range(self.n_spins - 1))
+        for generator in generators:
+            generator.flags.writeable = False
+        return generators
+
+    @cached_property
     def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, and -1j * eigenvalues.
 
@@ -78,8 +86,8 @@ class Subspace:
         """
         spectra: dict[bytes, np.ndarray] = {}
         factors = []
-        for bond in range(self.n_spins - 1):
-            values, vectors = linalg.eig_hermitian(build_bond_hamiltonian(bond, self))
+        for generator in self.bond_generators:
+            values, vectors = linalg.eig_hermitian(generator)
             minus_i_values = -1j * values
             factors.append(
                 (
@@ -134,6 +142,14 @@ def build_bond_hamiltonian(bond: int, subspace: Subspace) -> np.ndarray:
     return matrix
 
 
+def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
+    """The subspace's shared read-only generator of bond k; copy it to modify it."""
+    generators = subspace.bond_generators
+    if not 0 <= bond < len(generators):
+        raise _bond_error(bond, subspace)
+    return generators[bond]
+
+
 def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
     """exp(-i V_bond t) applied to a vector or a (dim, m) column block."""
     factors = subspace.bond_factors
@@ -161,6 +177,19 @@ def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Su
     return vectors.dot(phases * rotated)
 
 
+@cache
+def bond_swap_indices(n_spins: int) -> tuple[np.ndarray, ...]:
+    """Per bond of an n-spin chain, the index each full-space pattern maps to with bits k and k+1 exchanged.
+
+    Built once per chain length and read-only.
+    """
+    index = np.arange(full_space(n_spins).dim)
+    maps = tuple(index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1))
+    for swapped in maps:
+        swapped.flags.writeable = False
+    return maps
+
+
 def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     """Evolve a full 2^n state vector through a pulse sequence, no sector shortcut.
 
@@ -174,13 +203,10 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
     n_spins = dim.bit_length() - 1
-    space = full_space(n_spins)
-    index = np.arange(dim)
-    # per bond, the index each basis pattern maps to with bits k and k+1 exchanged
-    swapped = [index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1)]
+    swapped = bond_swap_indices(n_spins)
     for pulse in sequence:
         if not 0 <= pulse.bond < len(swapped):
-            raise _bond_error(pulse.bond, space)
+            raise _bond_error(pulse.bond, full_space(n_spins))
         angle = math.pi * pulse.duration
         psi = cmath.exp(0.5j * angle) * (math.cos(angle) * psi - 1j * math.sin(angle) * psi[swapped[pulse.bond]])
     return psi
@@ -188,8 +214,7 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
 
 def sector_weight(full_state: np.ndarray, sector: Subspace) -> float:
     """Probability carried by a sector's patterns inside a full-space vector."""
-    psi = np.asarray(full_state)
-    return float(sum(abs(psi[p]) ** 2 for p in sector.states))
+    return float(np.sum(np.abs(np.asarray(full_state)[list(sector.states)]) ** 2))
 
 
 def embed_in_full_space(state: np.ndarray, sector: Subspace) -> np.ndarray:

@@ -6,10 +6,16 @@ that error is at most its tolerance; a NaN error fails. A check may also return
 a note on what it measured, which its caller prints. The flip checks can be
 fed a corrupted second pulse duration, the fault injector behind
 `verify --corrupt-t2`.
+
+A registry evolves the four logical products through the swap once, when the
+first of its three swap checks (swap-gate, swap-phase, full-space-oracle) runs,
+and those checks read that one evolution. A new registry measures again, and a
+sequence or kernel replaced before its first swap check runs is what they see.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -47,6 +53,12 @@ def _gate_error(sequence: PulseSequence, frame: encoding.LogicalFrame, gate: str
     reference = gates.analytic_reference(gate, theta)
     got = gates.logical_unitary(sequence, frame, n_columns=reference.shape[0])
     return float(np.abs(got - reference).max())
+
+
+def _swapped_products() -> np.ndarray:
+    """The pair frame's four logical products after the swap sequence, one column each."""
+    frame = encoding.pair_frame()
+    return gates.simulate(gates.swap_sequence(), frame.vectors[:, :4], frame.subspace)
 
 
 def _with_t2(seq: PulseSequence, corrupt_t2: float | None) -> PulseSequence:
@@ -121,19 +133,23 @@ def cycle_permutation() -> float:
     return float(np.abs(final - expect).max())
 
 
-def swap_phase() -> tuple[float, str]:
-    frame = encoding.pair_frame()
-    final = gates.simulate(gates.swap_sequence(), frame.vectors[:, 0], frame.subspace)
-    measured = float(np.angle(np.vdot(frame.vectors[:, 0], final)))
+def swap_gate(swapped: np.ndarray) -> float:
+    logical = encoding.pair_frame().vectors[:, :4].conj().T @ swapped
+    return float(np.abs(logical - gates.analytic_reference("SWAP")).max())
+
+
+def swap_phase(swapped: np.ndarray) -> tuple[float, str]:
+    measured = float(np.angle(np.vdot(encoding.pair_frame().vectors[:, 0], swapped[:, 0])))
     note = f"measured overall swap phase {measured:.17g}, expected {gates.PAIR_SWAP_PHASE:.17g}"
     return _wrapped(measured - gates.PAIR_SWAP_PHASE), note
 
 
-def full_space_oracle() -> float:
+def full_space_oracle(swapped: np.ndarray) -> float:
     """The sector evolution of the swap against the 64-dim oracle, plus the oracle's leakage."""
     frame = encoding.pair_frame()
-    psi0 = encoding.encode(np.array([0.5, 0.5, 0.5, 0.5]), frame)
-    in_sector = gates.simulate(gates.swap_sequence(), psi0, frame.subspace)
+    amplitudes = np.array([0.5, 0.5, 0.5, 0.5])
+    psi0 = encoding.encode(amplitudes, frame)
+    in_sector = swapped @ amplitudes
     in_full = chain.full_space_oracle(gates.swap_sequence(), chain.embed_in_full_space(psi0, frame.subspace))
     leakage = 1.0 - chain.sector_weight(in_full, frame.subspace)
     agreement = np.abs(chain.restrict_to_sector(in_full, frame.subspace) - in_sector).max()
@@ -142,6 +158,7 @@ def full_space_oracle() -> float:
 
 def registry(corrupt_t2: float | None = None) -> dict[str, Check]:
     """Every check by name, in run order; corrupt_t2 overrides the flips' second duration."""
+    swapped = functools.cache(_swapped_products)
     flip = _with_t2(gates.flip_sequence("A"), corrupt_t2)
     core2 = _with_t2(gates.flip_sequence_uncorrected("A", solution=2), corrupt_t2)
     core1 = gates.flip_sequence_uncorrected("A", solution=1)
@@ -156,7 +173,7 @@ def registry(corrupt_t2: float | None = None) -> dict[str, Check]:
         "phase-gate": Check(phase_gate, 1e-12),
         "spin-swap-phase": Check(spin_swap_phase, 1e-12),
         "cycle-permutation": Check(cycle_permutation, 1e-12),
-        "swap-gate": Check(lambda: _gate_error(gates.swap_sequence(), encoding.pair_frame(), "SWAP"), 1e-12),
-        "swap-phase": Check(swap_phase, 1e-12),
-        "full-space-oracle": Check(full_space_oracle, 1e-12),
+        "swap-gate": Check(lambda: swap_gate(swapped()), 1e-12),
+        "swap-phase": Check(lambda: swap_phase(swapped()), 1e-12),
+        "full-space-oracle": Check(lambda: full_space_oracle(swapped()), 1e-12),
     }

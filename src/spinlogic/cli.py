@@ -264,11 +264,17 @@ def cmd_export_schedule(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach main() as ValueError, so they print as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main() call."""
-    parser = argparse.ArgumentParser(prog="spinlogic", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="spinlogic", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run analytic invariant checks")
@@ -305,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # looked up per call, so a handler replaced after the parser was built still runs
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ValueError, OSError, MemoryError) as err:  # MemoryError: numpy refusing a grid or n_runs too large

@@ -143,7 +143,7 @@ def decode(state: np.ndarray, frame: LogicalFrame, n_columns: int | None = None)
 
 def project_bond(bond: int, frame: LogicalFrame, n_columns: int = 2) -> np.ndarray:
     """Bond generator compressed onto the leading frame columns."""
-    h = chain.build_bond_hamiltonian(bond, frame.subspace)
+    h = chain.bond_generator(bond, frame.subspace)
     block = frame.vectors[:, :n_columns]
     return block.conj().T @ h @ block
 

@@ -14,10 +14,11 @@ eigenstates of the run-summed conjugated error generator:
     leading phase spread cancels too.
 
 The default sweep therefore measures the probability channel with common
-draws (quartic law, reference amplitude ~3.2e3) and the phase channel with
-independent draws (linear law, reference amplitude ~10.2), which reproduces
-both reference power laws at once. Either channel can be switched to the
-other convention.
+draws (quartic law, exact leading term (41/2)*pi^4*eps^4 ~ 1997 eps^4) and the
+phase channel with independent draws (linear law, reference amplitude ~10.2),
+which reproduces both reference power laws at once. Either channel can be
+switched to the other convention. REFERENCE_AMPLITUDE_P = 3.183e3 sits 59 %
+above the exact quartic coefficient; its acceptance band is left as it is.
 
 Per trial, the probability error evolves one uniformly drawn logical basis
 state; the phase error evolves all four basis states through one shared

@@ -208,6 +208,17 @@ def test_bonds_share_one_spectrum_array(space):
     assert len({id(spectrum) for _, _, spectrum in sub.bond_factors}) == 1
 
 
+def test_shared_structure_is_read_only():
+    sub = chain.enumerate_subspace(6, 2)
+    assert chain.bond_generator(2, sub) is sub.bond_generators[2]
+    assert np.array_equal(sub.bond_generators[2], chain.build_bond_hamiltonian(2, sub))
+    for shared in (*sub.bond_generators, *chain.bond_swap_indices(6)):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, ...] = 0
+    with pytest.raises(ValueError, match="bond"):
+        chain.bond_generator(-1, sub)
+
+
 def test_apply_bond_pulse_reuses_phases_only_when_the_bits_match(monkeypatch, textbook_pulse):
     # each call must equal the textbook formula bit for bit, whether or not it
     # reuses the previous call's phase factors; a reuse computes no exponential

@@ -23,6 +23,15 @@ def test_running_every_check_prints_nothing(capsys):
     assert results["swap-phase"][-1].startswith("measured overall swap phase")
 
 
+def test_a_registry_evolves_the_swap_once(monkeypatch):
+    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 4 spin-swap + 5 cycle pulses, then 15 for all three swap checks
+    kernel, calls = chain.apply_bond_pulse, []
+    monkeypatch.setattr(chain, "apply_bond_pulse", lambda *args: calls.append(args) or kernel(*args))
+    for check in checks.registry().values():
+        check.run()
+    assert len(calls) == 49
+
+
 def wrong_kernel(monkeypatch):
     """A sector kernel that runs bond 2 backwards; only an independent oracle notices."""
     kernel = chain.apply_bond_pulse
@@ -42,6 +51,7 @@ def broken_sequence(monkeypatch, builder, broken):
         ("phase-gate", lambda mp: mp.setattr(gates, "phase_gate_phase", lambda theta: 1.5 * math.pi - 0.5 * theta)),
         ("spin-swap-phase", lambda mp: mp.setattr(gates, "SPIN_SWAP_PHASE", math.pi / 4)),
         ("swap-gate", lambda mp: broken_sequence(mp, "swap_sequence", lambda pulses: pulses[1:])),
+        ("swap-phase", lambda mp: broken_sequence(mp, "swap_sequence", lambda pulses: pulses[1:])),
         ("logical-projection", lambda mp: mp.setattr(gates, "OMEGA", -math.sqrt(2) * math.pi)),
         ("flip-phase-condition", lambda mp: mp.setattr(gates, "T4", gates.T4 + 0.01)),
         ("full-space-oracle", wrong_kernel),
@@ -49,7 +59,8 @@ def broken_sequence(monkeypatch, builder, broken):
             mp, "cycle_sequence", lambda p: p[:2] + (Pulse(p[2].bond, 0.4, p[2].tag),) + p[3:])),
         ("cycle-permutation", lambda mp: broken_sequence(mp, "cycle_sequence", lambda pulses: pulses[:-1])),
     ],
-    ids=["hadamard-T6", "phase-gate-phase", "spin-swap-phase", "swap-one-pulse-dropped", "omega", "flip-T4",
+    ids=["hadamard-T6", "phase-gate-phase", "spin-swap-phase", "swap-one-pulse-dropped",
+         "swap-phase-one-pulse-dropped", "omega", "flip-T4",
          "oracle-wrong-kernel", "cycle-one-pulse-at-0.4", "cycle-one-pulse-dropped"],
 )
 def test_a_fault_pushes_the_check_above_its_tolerance(capsys, monkeypatch, name, fault):
@@ -67,4 +78,5 @@ def test_a_fault_pushes_the_check_above_its_tolerance(capsys, monkeypatch, name,
             one_by_one = max(one_by_one, float(np.abs(final).max()))
         assert error == pytest.approx(one_by_one, rel=1e-12)
     assert cli.main(["verify", "--check", name]) == 1
-    assert capsys.readouterr().out.startswith(f"FAIL  {name}")
+    # the verdict line, after the note a check may print
+    assert capsys.readouterr().out.splitlines()[-2].startswith(f"FAIL  {name}")

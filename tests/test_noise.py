@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import encoding, gates, noise
+from spinlogic import chain, encoding, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -379,6 +379,38 @@ def test_reference_point_checks(millinoise_point):
     assert 0.5 * p_ref < point.mean_p < 2.0 * p_ref
     assert 0.8 * q_ref < point.mean_q < 1.3 * q_ref
     assert point.excluded_trials == 0
+
+
+def test_common_mode_p_follows_its_exact_mean(default_sweep):
+    # P(d) = 1 - |<target|psi>|^2 with every swap pulse lasting 1/2 + d, from the
+    # full-space oracle, which shares no code with the sector kernel. A shift
+    # d -> d + 1 only multiplies each pulse by a phase, so P has period 1 and its
+    # 64 equispaced samples give the cosine coefficients a_m exactly. With
+    # E[cos 2*pi*m*d] = exp(-2*pi^2*m^2*eps^2) and P(0) = 0, the mean over
+    # d ~ N(0, eps^2) is sum_m a_m * expm1(-2*pi^2*m^2*eps^2).
+    frame = encoding.pair_frame()
+    swap = gates.swap_sequence()
+    n_samples = 64
+    m = np.arange(n_samples // 2 + 1)
+    coefficients = []
+    for source, target in enumerate(gates.SWAP_PERMUTATION):
+        start = chain.embed_in_full_space(frame.vectors[:, source], frame.subspace)
+        goal = chain.embed_in_full_space(frame.vectors[:, target], frame.subspace)
+        p = []
+        for d in np.arange(n_samples) / n_samples:
+            shifted = PulseSequence("swap", tuple(Pulse(q.bond, 0.5 + d, q.tag) for q in swap))
+            p.append(1.0 - abs(np.vdot(goal, chain.full_space_oracle(shifted, start))) ** 2)
+        a = np.fft.rfft(p).real / n_samples
+        a[1:-1] *= 2
+        coefficients.append(a)
+    a = np.mean(coefficients, axis=0)  # P's mean is the average over the four logical products
+
+    assert np.abs(np.array(coefficients)[:, 16:]).max() < 1e-14  # a trigonometric polynomial of degree 15
+    assert abs(-2 * PI**2 * np.sum(a * m**2)) < 1e-9  # the common shift cancels at second order
+    assert 2 * PI**4 * np.sum(a * m**4) == pytest.approx(41 / 2 * PI**4, rel=1e-9)
+    for point in default_sweep[0]:
+        exact = np.sum(a * np.expm1(-2 * PI**2 * m**2 * point.epsilon**2))
+        assert abs(point.mean_p - exact) <= 3 * point.stderr_p
 
 
 def test_error_means_are_monotone_on_the_default_grid(default_sweep):
