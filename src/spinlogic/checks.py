@@ -1,11 +1,12 @@
 """The analytic invariants a release must satisfy, each with its tolerance.
 
-registry() lists them in the order `spinlogic verify` runs them. Each entry
-measures one error (the largest deviation from its closed form) and passes when
-that error is at most its tolerance; a NaN error fails. A check may also return
-a note on what it measured, which its caller prints. The flip checks can be
-fed a corrupted second pulse duration, the fault injector behind
-`verify --corrupt-t2`.
+registry() lists them in the order `spinlogic verify` runs them, and report()
+runs them and returns the lines `verify` prints, which the acceptance tests
+assert. Each entry measures one error (the largest deviation from its closed
+form) and passes when that error is at most its tolerance; a NaN error fails.
+A check may also return a note on what it measured, which report() prints
+before its verdict. The flip checks can be fed a corrupted second pulse
+duration, the fault injector behind `verify --corrupt-t2`.
 
 A registry evolves the four logical products through the swap once, when the
 first of its three swap checks (swap-gate, swap-phase, full-space-oracle) runs,
@@ -177,3 +178,18 @@ def registry(corrupt_t2: float | None = None) -> dict[str, Check]:
         "swap-phase": Check(lambda: swap_phase(swapped()), 1e-12),
         "full-space-oracle": Check(lambda: full_space_oracle(swapped()), 1e-12),
     }
+
+
+def report(registry: dict[str, Check], names: list[str] | None = None) -> tuple[list[str], int]:
+    """Run the named checks (all of them by default) in order: the lines verify prints and the number that failed."""
+    names = list(registry) if names is None else names
+    if unknown := [name for name in names if name not in registry]:
+        raise ValueError(f"unknown check {unknown[0]!r}; choose from: {', '.join(registry)}")
+    lines, failures = [], 0
+    for name in names:
+        error, ok, note = registry[name].run()
+        failures += 0 if ok else 1
+        lines += [note] if note else []
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {registry[name].tolerance:.1e})")
+    lines.append(f"{failures} of {len(names)} checks failed" if failures else f"all {len(names)} checks passed")
+    return lines, failures

@@ -37,22 +37,9 @@ EXIT_BAD_INPUT = 2
 def cmd_verify(args) -> int:
     if args.corrupt_t2 is not None and not math.isfinite(args.corrupt_t2):
         raise ValueError(f"--corrupt-t2 must be a finite duration, got {args.corrupt_t2!r}")
-    registry = checks.registry(args.corrupt_t2)
-    if args.check is not None and args.check not in registry:
-        raise ValueError(f"unknown check {args.check!r}; choose from: {', '.join(registry)}")
-    names = list(registry) if args.check is None else [args.check]
-    failures = 0
-    for name in names:
-        error, ok, note = registry[name].run()
-        failures += 0 if ok else 1
-        if note:
-            print(note)
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {registry[name].tolerance:.1e})")
-    if failures:
-        print(f"{failures} of {len(names)} checks failed")
-        return EXIT_VERIFY_FAILED
-    print(f"all {len(names)} checks passed")
-    return EXIT_OK
+    lines, failures = checks.report(checks.registry(args.corrupt_t2), None if args.check is None else [args.check])
+    print("\n".join(lines))
+    return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
@@ -180,41 +167,6 @@ def _resolve_sweep_settings(args) -> tuple[dict, str]:
     return settings, seed_source
 
 
-def _fit_and_report(points: list[noise.SweepPoint]) -> int:
-    """Print both fits; assert the acceptance bands only when every point has full statistics."""
-    n_runs = min(p.n_runs for p in points)
-    check_bands = n_runs >= noise.DEFAULT_N_RUNS
-    if not check_bands:
-        print(f"low-statistics run (n_runs = {n_runs} < {noise.DEFAULT_N_RUNS}): fits reported, acceptance bands not asserted")
-    status = EXIT_OK
-    bands = {
-        "P": (noise.EXPONENT_BAND_P, noise.AMPLITUDE_BAND_P),
-        "Q": (noise.EXPONENT_BAND_Q, noise.AMPLITUDE_BAND_Q),
-    }
-    for channel in ("P", "Q"):
-        try:
-            fit = noise.fit_power_law(points, channel)
-        except ValueError as err:
-            print(f"fit refused for channel {channel}: {err}")
-            if check_bands:
-                status = EXIT_VERIFY_FAILED
-            continue
-        print(fit.json())
-        if check_bands:
-            (b_lo, b_hi), (a_lo, a_hi) = bands[channel]
-            exp_ok = b_lo <= fit.exponent <= b_hi
-            amp_ok = a_lo <= fit.amplitude <= a_hi
-            verdict = "PASS" if (exp_ok and amp_ok) else "FAIL"
-            print(
-                f"{verdict}  channel {channel}: exponent {fit.exponent:.4f} in [{b_lo}, {b_hi}]: "
-                f"{'yes' if exp_ok else 'NO'}; amplitude {fit.amplitude:.4g} in [{a_lo:.4g}, {a_hi:.4g}]: "
-                f"{'yes' if amp_ok else 'NO'}"
-            )
-            if verdict == "FAIL":
-                status = EXIT_VERIFY_FAILED
-    return status
-
-
 def cmd_sweep(args) -> int:
     settings, seed_source = _resolve_sweep_settings(args)
     grid = settings["eps"]
@@ -239,14 +191,18 @@ def cmd_sweep(args) -> int:
     print(f"seed = {settings['seed']} (source: {seed_source})")
     print(f"modes: P channel {settings['p_mode']}, Q channel {settings['q_mode']}")
     print(f"wrote {len(points)} points x {settings['n_runs']} runs to {settings['out']}")
-    return _fit_and_report(points)
+    lines, holds = noise.report(points, settings["p_mode"], settings["q_mode"])
+    print("\n".join(lines))
+    return EXIT_OK if holds else EXIT_VERIFY_FAILED
 
 
 def cmd_fit(args) -> int:
     points = noise.read_csv(args.csv)
     if not points:
         raise ValueError("CSV holds no sweep points")
-    return _fit_and_report(points)
+    lines, holds = noise.report(points)  # the CSV records no modes: the defaults are assumed
+    print("\n".join(lines))
+    return EXIT_OK if holds else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------- schedules
@@ -284,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="apply a cataloged gate to logical amplitudes")
     p_sim.add_argument("--gate", required=True, choices=["F", "H", "P", "SWAP"])
-    p_sim.add_argument("--qubit", default="A", choices=["A", "B"])
+    p_sim.add_argument("--qubit", default="A", choices=list(encoding.BLOCK_BONDS))
     p_sim.add_argument("--theta", type=float, help="phase-gate angle (radians unless --degrees)")
     p_sim.add_argument("--degrees", action="store_true", help="read theta and print phases in degrees")
     p_sim.add_argument("--state", nargs="+", required=True, metavar="RE,IM",
@@ -300,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-schedule", help="write a gate's pulse schedule")
     p_exp.add_argument("--gate", required=True, choices=["F", "FPH", "H", "P", "SWAP", "CYCLE"])
-    p_exp.add_argument("--qubit", default="A", choices=["A", "B"])
+    p_exp.add_argument("--qubit", default="A", choices=list(encoding.BLOCK_BONDS))
     p_exp.add_argument("--theta", type=float)
     p_exp.add_argument("--degrees", action="store_true")
     p_exp.add_argument("--solution", type=int, default=2, choices=[1, 2],

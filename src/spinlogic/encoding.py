@@ -59,6 +59,12 @@ def _shifted(table: dict[int, float], offset: int) -> dict[int, float]:
     return {pattern << offset: coeff for pattern, coeff in table.items()}
 
 
+def block_bonds(block: str) -> tuple[int, int]:
+    if block not in BLOCK_BONDS:
+        raise ValueError(f"block must be {' or '.join(map(repr, BLOCK_BONDS))}, got {block!r}")
+    return BLOCK_BONDS[block]
+
+
 def qubit_frame(block: str = "A") -> LogicalFrame:
     """|0_L>, |1_L>, |aux> for one block, in the smallest sector that holds them.
 
@@ -67,8 +73,7 @@ def qubit_frame(block: str = "A") -> LogicalFrame:
     single-excitation sector with spins 0-2 empty. Every call for a block
     returns the same read-only instance.
     """
-    if block not in BLOCK_BONDS:
-        raise ValueError(f"block must be 'A' or 'B', got {block!r}")
+    block_bonds(block)
     return _qubit_frame(block)
 
 
@@ -156,4 +161,4 @@ def auxiliary_coupling(block: str = "A") -> np.ndarray:
     three-spin encoding workable.
     """
     frame = qubit_frame(block)
-    return np.array([project_bond(bond, frame, 3)[2, :2] for bond in BLOCK_BONDS[block]])
+    return np.array([project_bond(bond, frame, 3)[2, :2] for bond in block_bonds(block)])

@@ -75,15 +75,9 @@ def phase_gate_phase(theta: float) -> float:
     return 1.5 * math.pi - 0.75 * theta
 
 
-def _block_bonds(qubit: str) -> tuple[int, int]:
-    if qubit not in encoding.BLOCK_BONDS:
-        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
-    return encoding.BLOCK_BONDS[qubit]
-
-
 def flip_sequence(qubit: str = "A") -> PulseSequence:
     """Phase-corrected logical flip: exp(i*FLIP_PHASE) * X."""
-    inner, outer = _block_bonds(qubit)
+    inner, outer = encoding.block_bonds(qubit)
     return PulseSequence(
         f"flip_{qubit}",
         (
@@ -97,7 +91,7 @@ def flip_sequence(qubit: str = "A") -> PulseSequence:
 
 def flip_sequence_uncorrected(qubit: str = "A", solution: int = 2) -> PulseSequence:
     """Bare three-pulse flip; slot phases differ between the two timing solutions."""
-    inner, outer = _block_bonds(qubit)
+    inner, outer = encoding.block_bonds(qubit)
     if solution == 2:
         times, suffix = (T1, T2, T3), ""
     elif solution == 1:
@@ -115,7 +109,7 @@ def flip_sequence_uncorrected(qubit: str = "A", solution: int = 2) -> PulseSeque
 
 
 def hadamard_sequence(qubit: str = "A") -> PulseSequence:
-    inner, outer = _block_bonds(qubit)
+    inner, outer = encoding.block_bonds(qubit)
     return PulseSequence(
         f"hadamard_{qubit}",
         (Pulse(outer, T5, "t5"), Pulse(inner, T6, "t6"), Pulse(outer, T5, "t5")),
@@ -123,7 +117,7 @@ def hadamard_sequence(qubit: str = "A") -> PulseSequence:
 
 
 def phase_sequence(theta: float, qubit: str = "A") -> PulseSequence:
-    _, outer = _block_bonds(qubit)
+    _, outer = encoding.block_bonds(qubit)
     duration = phase_gate_duration(theta)
     return PulseSequence(
         f"phase_{qubit}",

@@ -47,6 +47,12 @@ def default_sweep():
 
 
 @pytest.fixture(scope="session")
+def swapped_mode_points():
+    """1000-run points on the laws of a swapped-mode sweep, P = 85 eps^2 and Q = 86 eps^3, with 0.1 % stderr."""
+    return [noise.SweepPoint(e, 1000, 85 * e**2, 0, 0.085 * e**2, 86 * e**3, 0, 0.086 * e**3, 0) for e in (1e-4, 1e-3, 1e-2)]
+
+
+@pytest.fixture(scope="session")
 def millinoise_point():
     """One high-statistics point at eps = 1e-3 for spot checks off the log grid."""
     return noise.sweep([1e-3], n_runs=1000)[0]

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing a verdict line.
 
 Criteria 1-5 run the analytic checks of `spinlogic verify` by name, from the
-one registry in spinlogic.checks. Run with `pytest tests/test_acceptance.py -v -s`
+one registry in spinlogic.checks; criterion 6 asserts the band verdict that
+`spinlogic sweep` prints. Run with `pytest tests/test_acceptance.py -v -s`
 to see the measured values next to their bounds.
 """
 import time
@@ -17,13 +18,9 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def run_checks(*names: str) -> tuple[bool, str]:
-    """Run registry checks by name: whether all pass, and their verdicts on one line."""
-    all_ok, verdicts = True, []
-    for name in names:
-        error, ok, _ = REGISTRY[name].run()
-        all_ok &= ok
-        verdicts.append(f"{'PASS' if ok else 'FAIL'} {name} max error {error:.3e} (tol {REGISTRY[name].tolerance:.1e})")
-    return all_ok, "; ".join(verdicts)
+    """Run registry checks by name: whether all pass, and the lines `spinlogic verify` prints for them."""
+    lines, failures = checks.report(REGISTRY, list(names))
+    return failures == 0, "; ".join(lines)
 
 
 def test_criterion_1_perfect_swap_on_the_logical_basis():
@@ -51,25 +48,9 @@ def test_criterion_5_sector_evolution_matches_the_full_space():
 
 def test_criterion_6_error_scaling_reproduction(default_sweep):
     points, elapsed = default_sweep
-    fit_p = noise.fit_power_law(points, "P")
-    fit_q = noise.fit_power_law(points, "Q")
-    p_ok = (
-        noise.EXPONENT_BAND_P[0] <= fit_p.exponent <= noise.EXPONENT_BAND_P[1]
-        and noise.AMPLITUDE_BAND_P[0] <= fit_p.amplitude <= noise.AMPLITUDE_BAND_P[1]
-    )
-    q_ok = (
-        noise.EXPONENT_BAND_Q[0] <= fit_q.exponent <= noise.EXPONENT_BAND_Q[1]
-        and noise.AMPLITUDE_BAND_Q[0] <= fit_q.amplitude <= noise.AMPLITUDE_BAND_Q[1]
-    )
-    report(
-        6,
-        p_ok and q_ok and elapsed < 120.0,
-        f"P: {fit_p.amplitude:.4g}*eps^{fit_p.exponent:.4f} (chi2 {fit_p.chi2:.3g}) in "
-        f"bands {noise.AMPLITUDE_BAND_P}/{noise.EXPONENT_BAND_P}; "
-        f"Q: {fit_q.amplitude:.4g}*eps^{fit_q.exponent:.4f} (chi2 {fit_q.chi2:.3g}) in "
-        f"bands {noise.AMPLITUDE_BAND_Q}/{noise.EXPONENT_BAND_Q}; "
-        f"8x{points[0].n_runs} trials in {elapsed:.1f}s (bound 120s)",
-    )
+    lines, holds = noise.report(points)
+    report(6, holds and elapsed < 120.0,
+           f"{'; '.join(lines)}; 8x{points[0].n_runs} trials in {elapsed:.1f}s (bound 120s)")
 
 
 def test_criterion_7_reproducibility_and_conservation(default_sweep, lone_trial_sweep):

@@ -227,8 +227,8 @@ def test_small_sweep_writes_csv_and_warns(tmp_path, capsys):
     assert len(text.splitlines()) == 4
 
 
-def test_sweep_output_is_byte_identical_across_workers(tmp_path, lone_trial_sweep):
-    """The CSV the serial loop writes is the one any split of trials over workers would give."""
+def test_sweep_csv_equals_its_trials_run_alone(tmp_path, lone_trial_sweep):
+    """The CSV the command writes is the one its trials give when each runs alone from its substream."""
     out = tmp_path / "a.csv"
     assert run_cli("sweep", "--eps", "1e-3,3e-3", "--n-runs", "24", "--seed", "7", "--out", str(out)) == 0
     assert out.read_text() == noise.csv_text(lone_trial_sweep([1e-3, 3e-3], 24, 7))
@@ -239,6 +239,20 @@ def test_degenerate_sweep_refuses_the_fit(tmp_path, capsys):
     assert run_cli("sweep", "--eps", "0", "--n-runs", "10", "--out", str(out)) == 0
     printed = capsys.readouterr().out
     assert "fit refused" in printed
+
+
+def test_a_swapped_mode_release_sweep_passes(tmp_path, capsys, monkeypatch, swapped_mode_points):
+    monkeypatch.setattr(noise, "sweep", lambda *args, **kwargs: swapped_mode_points)
+    assert run_cli("sweep", "--p-mode", "independent", "--q-mode", "common", "--out", str(tmp_path / "s.csv")) == 0
+    assert capsys.readouterr().out.count("not asserted\n") == 2
+
+
+@pytest.mark.parametrize(("grid", "refusal"), [("1e-3,1e-3,1e-3", "needs at least 2 distinct epsilons, got 1"),
+                                               ("1e-3,1e-3,1.001e-3", "is ill-conditioned: log amplitude")])
+def test_a_degenerate_grid_refuses_the_fit_without_warnings(tmp_path, grid, refusal):
+    done = run_spinlogic("sweep", "--eps", grid, "--n-runs", "5", "--out", str(tmp_path / "dup.csv"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert f"fit refused for channel P: power-law fit {refusal}" in done.stdout
 
 
 def test_sweep_to_a_missing_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):

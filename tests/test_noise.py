@@ -303,6 +303,20 @@ def test_fit_refuses_thin_or_degenerate_data():
         noise.fit_power_law(points, "P")  # only two positive means
     with pytest.raises(ValueError):
         noise.fit_power_law(points, "R")
+    with pytest.raises(ValueError, match="at least 2 distinct epsilons, got 1"):  # a fit through one epsilon is noise
+        noise.fit_power_law([noise.SweepPoint(1e-3, 5, 1e-9, 0, 1e-10, 1e-2, 0, 1e-3, 0)] * 3, "P")
+    for means in ((1e-9, 1e-6, 1e-3), (1e-3, 1e-6, 1e-9)):  # a 0.2 % wide grid: slope ~ +-6900
+        points = [noise.SweepPoint(e, 5, m, 0, m / 10, 1e-2, 0, 1e-3, 0) for e, m in zip((1e-3, 1.001e-3, 1.002e-3), means)]
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            noise.fit_power_law(points, "P")
+
+
+def test_a_band_is_asserted_only_in_the_mode_it_describes(swapped_mode_points):
+    lines, holds = noise.report(swapped_mode_points, "independent", "common")
+    assert holds and lines[1::2] == ["channel P ran in independent mode: its band describes common mode, not asserted",
+                                     "channel Q ran in common mode: its band describes independent mode, not asserted"]
+    lines, holds = noise.report(swapped_mode_points)
+    assert not holds and [line[:15] for line in lines[1::2]] == ["FAIL  channel P", "FAIL  channel Q"]
 
 
 def test_fit_json_shape():
