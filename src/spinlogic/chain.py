@@ -150,12 +150,23 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
     return generators[bond]
 
 
-def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a vector or a (dim, m) column block."""
+def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a stack.
+
+    A 1-D array of n durations takes an (n, dim, m) stack and evolves block k
+    for duration k. np.matmul makes, per block, the BLAS call ndarray.dot makes
+    for that block alone (gemv for m = 1, gemm otherwise), so every block gets
+    the bits it would get alone, whatever the stack holds.
+    """
     factors = subspace.bond_factors
     if not 0 <= bond < len(factors):
         raise _bond_error(bond, subspace)
     vectors, adjoint, minus_i_values = factors[bond]
+    if isinstance(duration, np.ndarray):
+        if duration.ndim != 1 or state.ndim != 3 or state.shape[0] != duration.shape[0]:
+            raise ValueError(f"{duration.shape} durations do not match a stack of shape {state.shape}")
+        phases = np.exp(minus_i_values * duration[:, None])
+        return np.matmul(vectors, phases[..., None] * np.matmul(adjoint, state))
     # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
     rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
     # Reuse the last phase factors for the same spectrum object and an equal

@@ -200,7 +200,7 @@ def cmd_fit(args) -> int:
     points = noise.read_csv(args.csv)
     if not points:
         raise ValueError("CSV holds no sweep points")
-    lines, holds = noise.report(points)  # the CSV records no modes: the defaults are assumed
+    lines, holds = noise.report(points, args.p_mode, args.q_mode)
     print("\n".join(lines))
     return EXIT_OK if holds else EXIT_VERIFY_FAILED
 
@@ -253,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="re-fit an existing sweep CSV")
     p_fit.add_argument("--csv", required=True)
+    for key in ("p_mode", "q_mode"):  # the CSV records no modes, and the band verdict depends on them
+        convert, default, text = _SWEEP_SETTINGS[key]
+        p_fit.add_argument(f"--{key.replace('_', '-')}", type=convert, default=default, help=text)
 
     p_exp = sub.add_parser("export-schedule", help="write a gate's pulse schedule")
     p_exp.add_argument("--gate", required=True, choices=["F", "FPH", "H", "P", "SWAP", "CYCLE"])

@@ -28,9 +28,15 @@ perturbed sequence and takes the largest pairwise wrapped difference of the
 four target phases. Trials whose target overlap drops below OVERLAP_FLOOR
 have no defined phase and are excluded from the phase mean but counted.
 
+A sweep runs each point's trials in chunks of at most CHUNK_TRIALS through
+one kernel: per pulse, one chain.apply_bond_pulse call on the chunk's stacked
+states with one duration per trial. np.matmul makes per trial the BLAS call a
+lone trial makes, and every reduction is per trial or in a batched form that
+rounds as one trial does, so a trial gives the same bits in any chunk.
+
 Reproducibility: trial (eps_index, trial_index) uses the substream
-SeedSequence([seed, eps_index, trial_index]), so results are independent of
-the order in which trials run.
+SeedSequence([seed, eps_index, trial_index]), so results depend neither on the
+order in which trials run nor on how they are chunked.
 """
 from __future__ import annotations
 
@@ -49,6 +55,7 @@ DEFAULT_SEED = 123456789
 DEFAULT_N_RUNS = 1000
 DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-4, 1e-2, 8))
 OVERLAP_FLOOR = 1e-6
+CHUNK_TRIALS = 256  # trials a sweep evolves together; no result depends on it
 
 NOISE_MODES = ("independent", "common")
 DEFAULT_P_MODE, DEFAULT_Q_MODE = "common", "independent"
@@ -73,8 +80,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in NOISE_MODES:
+        raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +122,16 @@ class PowerFit:
                            for key, value in asdict(self).items()}, allow_nan=False)
 
 
+def _deviations(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Gaussian duration deviations: one draw shared by all n in common mode, n draws in independent mode."""
+    if noise.mode == "common":
+        return np.full(n, rng.normal(0.0, noise.epsilon))
+    return rng.normal(0.0, noise.epsilon, size=n)
+
+
 def perturb(sequence: PulseSequence, noise: NoiseModel, rng: np.random.Generator) -> PulseSequence:
     """Copy of the sequence with Gaussian duration deviations; tags are dropped."""
-    n = len(sequence)
-    if noise.mode == "common":
-        deltas = [rng.normal(0.0, noise.epsilon)] * n
-    else:
-        deltas = rng.normal(0.0, noise.epsilon, size=n).tolist()
+    deltas = _deviations(noise, len(sequence), rng).tolist()
     pulses = tuple(Pulse(pulse.bond, pulse.duration + d) for pulse, d in zip(sequence.pulses, deltas))
     return PulseSequence(sequence.name, pulses)
 
@@ -136,7 +150,7 @@ def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
         raise ValueError(f"initial_index must be 0..3, got {initial_index}")
     frame, targets, _ = _lab()
     psi = gates.simulate(perturbed, frame.vectors[:, initial_index], frame.subspace)
-    return _probability_error_of(targets[:, initial_index], psi)
+    return _probability_errors(targets, [initial_index], psi[None])[0]
 
 
 def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
@@ -146,43 +160,69 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
     the phase undefined and the trial must be excluded.
     """
     frame, targets, _ = _lab()
-    return _phase_error_of(targets, gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace))
+    values, defined = _phase_errors(targets, gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace)[None])
+    return values.item(), defined.item()
 
 
-def _probability_error_of(target: np.ndarray, psi: np.ndarray) -> float:
-    return abs(1.0 - abs(np.vdot(target, psi)) ** 2)
+def _probability_errors(targets: np.ndarray, initial, psi: np.ndarray) -> np.ndarray:
+    """P of each (dim,) row of psi against the target of its initial state.
+
+    One np.vdot per trial: batched vdot, einsum and matmul forms round differently.
+    """
+    return np.array([abs(1.0 - abs(np.vdot(targets[:, i], state)) ** 2) for i, state in zip(initial, psi)])
 
 
-def _phase_error_of(targets: np.ndarray, evolved: np.ndarray) -> tuple[float, bool]:
-    overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
-    if np.abs(overlaps).min() < OVERLAP_FLOOR:
-        return math.nan, False
-    # np.angle rather than cmath.phase, which can differ in the last bit; the
-    # pairwise spread is then exact float arithmetic, cheaper on Python floats,
-    # and a NaN phase (from an overflowed duration) makes it NaN as in numpy
-    phases = np.angle(overlaps).tolist()
-    spread = 0.0
-    for i, a in enumerate(phases):
-        for b in phases[i + 1:]:
-            diff = abs(a - b)
-            wrapped = 2 * math.pi - diff
-            if wrapped < diff:
-                diff = wrapped
-            if diff > spread or diff != diff:
-                spread = diff
-    return spread, True
+def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of each (dim, 4) block of evolved, NaN where the phase is undefined, and whether it is defined."""
+    overlaps = np.einsum("ij,kij->kj", targets.conj(), evolved)
+    defined = ~(np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR)  # a NaN overlap counts as defined
+    # np.angle rather than cmath.phase, which can differ in the last bit; a NaN
+    # phase (from an overflowed duration) makes the spread NaN
+    phases = np.angle(overlaps)
+    diffs = np.abs(phases[:, :, None] - phases[:, None, :])
+    spreads = np.minimum(diffs, 2 * math.pi - diffs).max(axis=(1, 2))
+    return np.where(defined, spreads, math.nan), defined
+
+
+def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
+
+    Each trial draws its initial state, its P deviations and its Q deviations,
+    in that frozen order, from its own generator. Every reduction is per trial
+    or in a batched form that rounds as the lone trial does, so a trial's
+    results do not depend on the chunk it runs in.
+    """
+    frame, targets, ideal = _lab()
+    n, n_pulses = len(rngs), len(ideal)
+    initial = []
+    p_durations, q_durations = np.empty((n, n_pulses)), np.empty((n, n_pulses))
+    for k, rng in enumerate(rngs):
+        initial.append(int(rng.integers(4)))
+        p_durations[k] = _deviations(p_noise, n_pulses, rng)
+        q_durations[k] = _deviations(q_noise, n_pulses, rng)
+    nominal = np.array([pulse.duration for pulse in ideal])
+    p_durations += nominal
+    q_durations += nominal
+    if not (np.isfinite(p_durations).all() and np.isfinite(q_durations).all()):
+        drawn = np.stack((p_durations, q_durations), axis=1).ravel()  # in draw order
+        raise ValueError(f"pulse duration must be finite, got {drawn[~np.isfinite(drawn)][0].item()!r}")
+
+    psi = frame.vectors.T[initial][..., None]
+    basis = frame.vectors[:, :4]
+    evolved = np.broadcast_to(basis, (n, *basis.shape))
+    for k, pulse in enumerate(ideal):
+        psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
+        evolved = chain.apply_bond_pulse(pulse.bond, q_durations[:, k], evolved, frame.subspace)
+    squared_norms = np.concatenate([(block.conj() * block).real.sum(axis=1) for block in (psi, evolved)], axis=1)
+    q_values, defined = _phase_errors(targets, evolved)
+    return (_probability_errors(targets, initial, psi[..., 0]), q_values, defined,
+            np.abs(np.sqrt(squared_norms) - 1.0).max(axis=1))
 
 
 def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float, bool, float]:
-    """One Monte-Carlo trial; draw order (state, P deltas, Q deltas) is frozen."""
-    frame, targets, ideal = _lab()
-    initial = int(rng.integers(4))
-    psi = gates.simulate(perturb(ideal, p_noise, rng), frame.vectors[:, initial], frame.subspace)
-    evolved = gates.simulate(perturb(ideal, q_noise, rng), frame.vectors[:, :4], frame.subspace)
-    columns = np.concatenate((psi[:, None], evolved), axis=1)
-    norm_err = max(abs(math.sqrt(sq) - 1.0) for sq in (columns.conj() * columns).real.sum(axis=0).tolist())
-    q_value, defined = _phase_error_of(targets, evolved)
-    return _probability_error_of(targets[:, initial], psi), q_value, defined, norm_err
+    """One Monte-Carlo trial: the chunk kernel on a chunk of one."""
+    p_value, q_value, defined, norm_error = _run_chunk(p_noise, q_noise, [rng])
+    return p_value.item(), q_value.item(), defined.item(), norm_error.item()
 
 
 def sweep(
@@ -193,12 +233,12 @@ def sweep(
     q_mode: str = DEFAULT_Q_MODE,
     n_workers: int = 1,
 ) -> list[SweepPoint]:
-    """Monte-Carlo error sweep over a noise-strength grid, one trial at a time.
+    """Monte-Carlo error sweep over a noise-strength grid, CHUNK_TRIALS trials at a time.
 
     Aggregation is over per-trial result arrays indexed by trial number, so
     running any trial alone from its substream gives the value the sweep
-    used. n_workers accepts only 1: threads gave no speed-up, since a trial
-    is Python-bound and holds the interpreter lock. A negative seed, an
+    used. n_workers accepts only 1: trials run serially in the calling
+    thread (a thread pool gave no speed-up). A negative seed, an
     epsilon or mode NoiseModel refuses, and an epsilon whose trials overflow
     (non-finite P or Q, or an infinite duration) raise ValueError.
     """
@@ -226,9 +266,12 @@ def sweep(
         # once for the point, so numpy's per-pulse warnings are silenced here.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(n_runs):
-                    rng = np.random.default_rng(np.random.SeedSequence([seed, eps_index, j]))
-                    p_vals[j], q_vals[j], defined[j], norm_errs[j] = _run_trial(p_noise, q_noise, rng)
+                for start in range(0, n_runs, CHUNK_TRIALS):
+                    stop = min(start + CHUNK_TRIALS, n_runs)
+                    rngs = [np.random.default_rng(np.random.SeedSequence([seed, eps_index, j]))
+                            for j in range(start, stop)]
+                    trials = slice(start, stop)
+                    p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(p_noise, q_noise, rngs)
         except ValueError as err:
             raise ValueError(f"epsilon {eps!r} overflows the trials: {err}") from None
 
@@ -281,6 +324,8 @@ def fit_power_law(points: list[SweepPoint], channel: str) -> PowerFit:
 def report(points: list[SweepPoint], p_mode: str = DEFAULT_P_MODE, q_mode: str = DEFAULT_Q_MODE) -> tuple[list[str], bool]:
     """The lines printed after a sweep's CSV, and whether the verdict holds: on full statistics, a channel run
     in its band's mode fails on a refused fit or a fit outside either band; any other band is not asserted."""
+    _check_mode(p_mode)
+    _check_mode(q_mode)
     n_runs = min(p.n_runs for p in points)
     full = n_runs >= DEFAULT_N_RUNS
     lines = [] if full else [f"low-statistics run (n_runs = {n_runs} < {DEFAULT_N_RUNS}): "

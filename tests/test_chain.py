@@ -190,11 +190,20 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
     rng = np.random.default_rng(11)
     vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     block = rng.normal(size=(sub.dim, 5)) + 1j * rng.normal(size=(sub.dim, 5))
+    durations = np.array([-0.3, 0.5, 3.7])
+    vecs = rng.normal(size=(3, sub.dim)) + 1j * rng.normal(size=(3, sub.dim))
+    blocks = rng.normal(size=(3, sub.dim, 5)) + 1j * rng.normal(size=(3, sub.dim, 5))
     for bond in range(n_spins - 1):
-        for t in (-0.3, 0.5, 3.7):
+        for t in durations.tolist():
             for state in (vec, block):
                 expect = textbook_pulse(bond, t, state, sub)
                 assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect)
+        # a stack with one duration per state: each state gets the bits it gets alone
+        stacked_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
+        stacked_blocks = chain.apply_bond_pulse(bond, durations, blocks, sub)
+        for k, t in enumerate(durations.tolist()):
+            assert np.array_equal(stacked_vecs[k, :, 0], textbook_pulse(bond, t, vecs[k], sub))
+            assert np.array_equal(stacked_blocks[k], textbook_pulse(bond, t, blocks[k], sub))
 
 
 @pytest.mark.parametrize(
@@ -293,3 +302,6 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
             chain.apply_bond_pulse(bond, 0.5, psi, sub)
     with pytest.raises(ValueError):
         chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)
+    for count, stack in ((2, psi[None, :, None]), (1, psi), (1, psi[None, :-1, None])):  # one duration per state
+        with pytest.raises(ValueError):
+            chain.apply_bond_pulse(0, np.full(count, 0.5), stack, sub)

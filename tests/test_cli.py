@@ -364,7 +364,7 @@ def test_sweep_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, se
     def no_trials(*args):
         raise AssertionError("a trial ran before the seed was checked")
 
-    monkeypatch.setattr(noise, "_run_trial", no_trials)
+    monkeypatch.setattr(noise, "_run_chunk", no_trials)
     argv = ["sweep", "--eps", "1e-3", "--n-runs", "10", "--out", str(tmp_path / "sweep.csv")]
     if source == "flag":
         argv += ["--seed", seed]
@@ -456,6 +456,19 @@ def test_fit_command_refits_a_csv(tmp_path, capsys):
     assert '"channel": "P"' in printed
     assert '"channel": "Q"' in printed
     assert "low-statistics" in printed
+
+
+def test_fit_takes_the_modes_the_csv_does_not_record(tmp_path, capsys, swapped_mode_points):
+    csv = tmp_path / "swapped.csv"
+    noise.write_csv(swapped_mode_points, csv)
+    assert run_cli("fit", "--csv", str(csv), "--p-mode", "independent", "--q-mode", "common") == 0
+    assert capsys.readouterr().out.count("not asserted\n") == 2
+    assert run_cli("fit", "--csv", str(csv)) == 1  # the default modes assert both bands, which these laws miss
+    assert capsys.readouterr().out.count("FAIL  channel") == 2
+    assert run_cli("fit", "--csv", str(csv), "--q-mode", "nope") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"mode must be one of {noise.NOISE_MODES}, got 'nope'"]
 
 
 def test_fit_lines_are_strict_json(tmp_path, capsys):

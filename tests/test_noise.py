@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -152,7 +156,7 @@ def test_a_negative_seed_is_refused_before_any_trial(monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran before the seed was checked")
 
-    monkeypatch.setattr(noise, "_run_trial", no_trials)
+    monkeypatch.setattr(noise, "_run_chunk", no_trials)
     with pytest.raises(ValueError, match=re.escape("seed must be nonnegative, got -1")):
         noise.sweep([1e-3], n_runs=10, seed=-1)
 
@@ -362,10 +366,7 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     phases = np.angle(overlaps)
     diffs = np.abs(phases[:, None] - phases[None, :])
     q_value = float(np.minimum(diffs, 2 * PI - diffs).max()) if defined else math.nan
-    norm_err = max(
-        abs(float(np.linalg.norm(psi)) - 1.0),
-        float(np.abs(np.linalg.norm(evolved, axis=0) - 1.0).max()),
-    )
+    norm_err = float(np.abs(np.linalg.norm(np.column_stack((psi, evolved)), axis=0) - 1.0).max())  # NaN if any is
     return p_value, q_value, defined, norm_err
 
 
@@ -376,13 +377,41 @@ def _same(a, b):
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: some durations overflow -i*lambda*t
 def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
+    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's bits."""
     p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     with np.errstate(all="ignore"):
+        chunk = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial]) for trial in range(40)])
         for trial in range(40):
-            got = noise._run_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
             want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
-            assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
-            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
+            alone = noise._run_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
+            for got in (alone, tuple(column[trial].item() for column in chunk)):
+                assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
+                assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
+
+
+_CHUNK_EQUALS_ITS_TRIALS_ALONE = """
+import numpy as np
+from spinlogic import noise
+for modes in (("common", "independent"), ("independent", "common")):
+    models = [noise.NoiseModel(1e-2, mode) for mode in modes]
+    chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(40)])
+    alone = [noise._run_trial(*models, np.random.default_rng([5, j])) for j in range(40)]
+    assert all(np.array_equal(column, values) for column, values in zip(chunk, zip(*alone))), modes
+"""
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+    ids=["openblas-prescott", "numpy-without-avx512-icl"],
+)
+def test_a_chunk_equals_its_trials_alone_under_other_kernels(env):
+    """Other BLAS and numpy SIMD kernels round differently, but a chunk still rounds as its trials do alone."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env}
+    done = subprocess.run([sys.executable, "-c", _CHUNK_EQUALS_ITS_TRIALS_ALONE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_reference_point_checks(millinoise_point):
