@@ -164,7 +164,7 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
     return values.item(), defined.item()
 
 
-def _probability_errors(targets: np.ndarray, initial, psi: np.ndarray) -> np.ndarray:
+def _probability_errors(targets: np.ndarray, initial: list[int], psi: np.ndarray) -> np.ndarray:
     """P of each (dim,) row of psi against the target of its initial state.
 
     One np.vdot per trial: batched vdot, einsum and matmul forms round differently.
@@ -184,7 +184,8 @@ def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray,
     return np.where(defined, spreads, math.nan), defined
 
 
-def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
+               rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
 
     Each trial draws its initial state, its P deviations and its Q deviations,

@@ -366,7 +366,7 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     phases = np.angle(overlaps)
     diffs = np.abs(phases[:, None] - phases[None, :])
     q_value = float(np.minimum(diffs, 2 * PI - diffs).max()) if defined else math.nan
-    norm_err = float(np.abs(np.linalg.norm(np.column_stack((psi, evolved)), axis=0) - 1.0).max())  # NaN if any is
+    norm_err = float(np.abs(np.linalg.norm(np.column_stack((psi, evolved)), axis=0) - 1.0).max())  # NaN if any norm is
     return p_value, q_value, defined, norm_err
 
 
