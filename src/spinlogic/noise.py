@@ -34,9 +34,11 @@ states with one duration per trial. np.matmul makes per trial the BLAS call a
 lone trial makes, and every reduction is per trial or in a batched form that
 rounds as one trial does, so a trial gives the same bits in any chunk.
 
-Reproducibility: trial (eps_index, trial_index) uses the substream
-SeedSequence([seed, eps_index, trial_index]), so results depend neither on the
-order in which trials run nor on how they are chunked.
+Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
+that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
+neither on the order in which trials run nor on how they are chunked. A sweep
+computes those seeds a chunk at a time with SeedSequence's hash on uint32
+arrays (_substream_states), which a test checks against SeedSequence itself.
 """
 from __future__ import annotations
 
@@ -142,6 +144,100 @@ def _lab():
     frame = encoding.pair_frame()
     targets = frame.vectors[:, [gates.SWAP_PERMUTATION[i] for i in range(4)]]
     return frame, targets, gates.swap_sequence()
+
+
+@cache
+def _trial_seed_class():
+    """The seed type a trial's generator is built from, made on first use: importing spinlogic leaves numpy.random out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        """One trial's precomputed SeedSequence state, for PCG64, which asks exactly generate_state(4, np.uint64)."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a trial seed holds generate_state(4, np.uint64) only, got ({n_words}, {dtype})")
+            return self.state
+
+    return TrialSeed
+
+
+# numpy.random.SeedSequence's hash: its pool size, 32-bit constants and shift
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32, _XSHIFT = 0xFFFFFFFF, np.uint32(16)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int, as SeedSequence splits it: 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _substream_states(seed: int, eps_index: int, trials: range) -> np.ndarray:
+    """SeedSequence([seed, eps_index, j]).generate_state(4, np.uint64) for every j in trials, one row each.
+
+    The hash is SeedSequence's, on uint32 arrays: its constants evolve the same
+    way whatever the data, so all trials whose entropy has the same number of
+    words are hashed together with elementwise operations.
+    """
+    states = np.empty((len(trials), 4), dtype=np.uint64)
+    prefix = _uint32_words(seed) + _uint32_words(eps_index)
+    row, start = 0, trials.start
+    while start < trials.stop:  # j's word count is constant between powers of 2**32
+        n_words = len(_uint32_words(start))
+        stop = min(trials.stop, 1 << 32 * n_words)
+        block = range(start, stop)
+        entropy = ([np.full(len(block), word, dtype=np.uint32) for word in prefix]
+                   + [np.array([j >> 32 * k & _MASK32 for j in block], dtype=np.uint32) for k in range(n_words)])
+        states[row:row + len(block)] = _generate_state(_mix_entropy(entropy))
+        row, start = row + len(block), stop
+    return states
+
+
+def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy: the pool of _POOL_SIZE words from the entropy words, each a uint32 array."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) from a pool: 8 hashed words, read in little-endian pairs."""
+    consts = [_INIT_B]
+    for _ in range(8):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    cycled = np.stack([pool[k % _POOL_SIZE] for k in range(8)], axis=1)
+    words = (cycled ^ np.array(consts[:-1], dtype=np.uint32)) * np.array(consts[1:], dtype=np.uint32)
+    words ^= words >> _XSHIFT
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
@@ -255,6 +351,7 @@ def sweep(
     # NoiseModel validates every epsilon and both modes before any trial runs
     models = [(NoiseModel(eps, p_mode), NoiseModel(eps, q_mode)) for eps in eps_grid]
 
+    trial_seed, generator, pcg64 = _trial_seed_class(), np.random.Generator, np.random.PCG64
     points = []
     for eps_index, (p_noise, q_noise) in enumerate(models):
         eps = p_noise.epsilon
@@ -269,8 +366,8 @@ def sweep(
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n_runs, CHUNK_TRIALS):
                     stop = min(start + CHUNK_TRIALS, n_runs)
-                    rngs = [np.random.default_rng(np.random.SeedSequence([seed, eps_index, j]))
-                            for j in range(start, stop)]
+                    rngs = [generator(pcg64(trial_seed(state)))
+                            for state in _substream_states(seed, eps_index, range(start, stop))]
                     trials = slice(start, stop)
                     p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(p_noise, q_noise, rngs)
         except ValueError as err:

@@ -59,9 +59,10 @@ def test_criterion_7_reproducibility_and_conservation(default_sweep, lone_trial_
 
     clean = noise.sweep([0.0], n_runs=50)[0]
 
-    # CHUNK_TRIALS + 3 runs span two chunks: chunking must not move a bit either
-    identical = all(noise.sweep([3e-4, 3e-3], n_runs=n_runs, seed=1234) == lone_trial_sweep([3e-4, 3e-3], n_runs, 1234)
-                    for n_runs in (40, noise.CHUNK_TRIALS + 3))
+    # CHUNK_TRIALS + 3 runs span two chunks: chunking must not move a bit either;
+    # a seed of 2**40 + 3 splits into two 32-bit words
+    identical = all(noise.sweep([3e-4, 3e-3], n_runs=n_runs, seed=seed) == lone_trial_sweep([3e-4, 3e-3], n_runs, seed)
+                    for n_runs, seed in ((40, 1234), (noise.CHUNK_TRIALS + 3, 1234), (40, 2**40 + 3)))
 
     report(
         7,

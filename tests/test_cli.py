@@ -67,6 +67,27 @@ def test_verify_passes_and_lists_every_check(capsys):
     assert out.splitlines()[-1] == "all 13 checks passed"
 
 
+_VERIFY_LOADS = """
+import sys
+import numpy
+eager = "numpy.random" in sys.modules  # numpy before 2.0 imports it with itself
+from spinlogic import cli
+assert cli.main(["verify"]) == 0
+print(eager, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_does_not_import_numpy_random():
+    """verify draws no random numbers, so its processes should not pay for importing numpy.random."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _VERIFY_LOADS], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    eager, loaded = done.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"
+
+
 def test_verify_single_check_prints_the_measured_swap_phase(capsys):
     assert run_cli("verify", "--check", "swap-phase") == 0
     out = capsys.readouterr().out

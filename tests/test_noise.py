@@ -138,6 +138,35 @@ def test_sweep_is_deterministic_and_order_independent(lone_trial_sweep):
     assert noise.csv_text(noise.sweep(grid, 40, 2024)) != noise.csv_text(noise.sweep(grid, 40, 2025))
 
 
+_SEEDS = (0, 1, 123456789, 2**32 - 1, 2**32, 2**64 + 1, 2**70 + 11)  # of one, two and three 32-bit words
+_EPS_INDICES = (0, 7, 2**32 - 1)
+_TRIALS = (range(300), range(2**31, 2**31 + 1), range(2**32 - 1, 2**32 + 2))  # the last crosses one word to two
+
+
+def test_substream_states_are_seed_sequence_states():
+    for seed in _SEEDS:
+        for i in _EPS_INDICES:
+            for trials in _TRIALS:
+                want = [np.random.SeedSequence([seed, i, j]).generate_state(4, np.uint64) for j in trials]
+                got = noise._substream_states(seed, i, trials)
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, i, trials)
+
+
+def test_a_trial_generator_draws_as_its_seed_sequence_does():
+    trial_seed = noise._trial_seed_class()
+    for seed, i, trials in ((0, 0, range(5)), (2**70 + 11, 2**32 - 1, range(2**32 - 2, 2**32 + 1))):
+        for j, state in zip(trials, noise._substream_states(seed, i, trials)):
+            got = np.random.Generator(np.random.PCG64(trial_seed(state)))
+            want = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.integers(4) == want.integers(4)
+            assert np.array_equal(got.normal(0, 1e-3, 15), want.normal(0, 1e-3, 15))
+    words = trial_seed(noise._substream_states(0, 0, range(1))[0])
+    for request in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="generate_state"):
+            words.generate_state(*request)
+
+
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         noise.sweep([1e-3], n_runs=0)
