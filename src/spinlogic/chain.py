@@ -79,29 +79,19 @@ class Subspace:
         V and the eigenvalues come from the bond generator's eigendecomposition;
         these are what apply_bond_pulse multiplies by. Complex C-ordered copies
         give products bit-identical to the real eigenvectors (numpy casts those
-        the same way); F-ordered copies do not. Bonds whose -1j * eigenvalues
-        are bitwise equal share one array object (every bond has the exchange
-        spectrum {pi/2, -3*pi/2}), so phase factors computed for one bond serve
-        the others.
+        the same way); F-ordered copies do not.
         """
-        spectra: dict[bytes, np.ndarray] = {}
         factors = []
         for generator in self.bond_generators:
             values, vectors = linalg.eig_hermitian(generator)
-            minus_i_values = -1j * values
             factors.append(
                 (
                     np.ascontiguousarray(vectors, dtype=np.complex128),
                     np.ascontiguousarray(vectors.conj().T, dtype=np.complex128),
-                    spectra.setdefault(minus_i_values.tobytes(), minus_i_values),
+                    -1j * values,
                 )
             )
         return tuple(factors)
-
-    @cached_property
-    def _last_phases(self) -> list[tuple]:
-        """One slot: the (spectrum, duration, phase factors) apply_bond_pulse computed last."""
-        return [(None, None, None)]
 
 
 @cache
@@ -169,20 +159,7 @@ def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray,
         return np.matmul(vectors, phases[..., None] * np.matmul(adjoint, state))
     # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
     rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
-    # Reuse the last phase factors for the same spectrum object and an equal
-    # duration. Only nonzero Python floats qualify: for those, equal means the
-    # same bits (NaN equals nothing), while +0.0 and -0.0 are equal but scale
-    # the spectrum to different signed zeros. The slot holds its spectrum, so
-    # the identity test never matches a recycled array, and is replaced in one
-    # assignment, so a concurrent caller sees either tuple whole.
-    if type(duration) is float and duration:
-        slot = subspace._last_phases
-        last_values, last_duration, phases = slot[0]
-        if last_values is not minus_i_values or last_duration != duration:
-            phases = np.exp(minus_i_values * duration)
-            slot[0] = (minus_i_values, duration, phases)
-    else:
-        phases = np.exp(minus_i_values * duration)
+    phases = np.exp(minus_i_values * duration)
     if rotated.ndim == 2:
         return vectors.dot(phases[:, None] * rotated)
     return vectors.dot(phases * rotated)
