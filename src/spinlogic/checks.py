@@ -116,7 +116,7 @@ def phase_gate() -> float:
 
 def spin_swap_phase() -> float:
     sub = chain.full_space(2)
-    u = np.column_stack([chain.apply_bond_pulse(0, 0.5, e, sub) for e in np.eye(4, dtype=np.complex128)])
+    u = chain.apply_bond_pulse(0, 0.5, np.eye(4, dtype=np.complex128), sub)
     # the two spins trade places: patterns 01 and 10 exchange, 00 and 11 stay
     expect = cmath.exp(1j * gates.SPIN_SWAP_PHASE) * np.eye(4)[[0, 2, 1, 3]]
     return float(np.abs(u - expect).max())

@@ -13,13 +13,8 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 
 
-def max_asymmetry(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation |H - H^dagger|."""
-    m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
-
-
-def require_hermitian(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -27,17 +22,10 @@ def require_hermitian(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.nd
         raise ValueError("empty matrix has no spectrum")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    gap = max_asymmetry(m)
-    if gap > atol:
-        raise ValueError(f"matrix is not Hermitian: max|H - H^dagger| = {gap:.3e} > {atol:.1e}")
-    return m
-
-
-def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    m = require_hermitian(matrix)
-    values, vectors = np.linalg.eigh(m)
-    return values, vectors
+    gap = float(np.abs(m - m.conj().T).max())
+    if gap > HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max|H - H^dagger| = {gap:.3e} > {HERMITIAN_ATOL:.1e}")
+    return np.linalg.eigh(m)
 
 
 def propagator(matrix: np.ndarray, duration: float) -> np.ndarray:

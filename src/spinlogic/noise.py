@@ -82,6 +82,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", self.epsilon + 0.0)  # -0.0 is zero noise; numpy refuses a scale of -0.0
         _check_mode(self.mode)
 
 
@@ -287,7 +288,8 @@ def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
     Each trial draws its initial state, its P deviations and its Q deviations,
     in that frozen order, from its own generator. Every reduction is per trial
     or in a batched form that rounds as the lone trial does, so a trial's
-    results do not depend on the chunk it runs in.
+    results do not depend on the chunk it runs in; a chunk of one is a lone
+    trial. An infinite duration gives NaN results, not an error.
     """
     frame, targets, ideal = _lab()
     n, n_pulses = len(rngs), len(ideal)
@@ -300,9 +302,6 @@ def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
     nominal = np.array([pulse.duration for pulse in ideal])
     p_durations += nominal
     q_durations += nominal
-    if not (np.isfinite(p_durations).all() and np.isfinite(q_durations).all()):
-        drawn = np.stack((p_durations, q_durations), axis=1).ravel()  # in draw order
-        raise ValueError(f"pulse duration must be finite, got {drawn[~np.isfinite(drawn)][0].item()!r}")
 
     psi = frame.vectors.T[initial][..., None]
     basis = frame.vectors[:, :4]
@@ -314,12 +313,6 @@ def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi[..., 0]), q_values, defined,
             np.abs(np.sqrt(squared_norms) - 1.0).max(axis=1))
-
-
-def _run_trial(p_noise: NoiseModel, q_noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float, bool, float]:
-    """One Monte-Carlo trial: the chunk kernel on a chunk of one."""
-    p_value, q_value, defined, norm_error = _run_chunk(p_noise, q_noise, [rng])
-    return p_value.item(), q_value.item(), defined.item(), norm_error.item()
 
 
 def sweep(
@@ -337,7 +330,7 @@ def sweep(
     used. n_workers accepts only 1: trials run serially in the calling
     thread (a thread pool gave no speed-up). A negative seed, an
     epsilon or mode NoiseModel refuses, and an epsilon whose trials overflow
-    (non-finite P or Q, or an infinite duration) raise ValueError.
+    (a non-finite P or Q) raise ValueError.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
@@ -359,19 +352,17 @@ def sweep(
         q_vals = np.empty(n_runs)
         defined = np.empty(n_runs, dtype=bool)
         norm_errs = np.empty(n_runs)
-        # near the float limit a duration overflows: a draw becomes inf (the Pulse
-        # refuses it) or exp(-i*lambda*t) turns P and Q into NaN. Both are reported
-        # once for the point, so numpy's per-pulse warnings are silenced here.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n_runs, CHUNK_TRIALS):
-                    stop = min(start + CHUNK_TRIALS, n_runs)
-                    rngs = [generator(pcg64(trial_seed(state)))
-                            for state in _substream_states(seed, eps_index, range(start, stop))]
-                    trials = slice(start, stop)
-                    p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(p_noise, q_noise, rngs)
-        except ValueError as err:
-            raise ValueError(f"epsilon {eps!r} overflows the trials: {err}") from None
+        # near the float limit a duration overflows: a draw becomes inf or
+        # exp(-i*lambda*t) leaves the float range, and either turns P or Q into
+        # NaN. That is refused once for the point below, so numpy's per-pulse
+        # warnings are silenced here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n_runs, CHUNK_TRIALS):
+                stop = min(start + CHUNK_TRIALS, n_runs)
+                rngs = [generator(pcg64(trial_seed(state)))
+                        for state in _substream_states(seed, eps_index, range(start, stop))]
+                trials = slice(start, stop)
+                p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(p_noise, q_noise, rngs)
 
         kept = q_vals[defined]
         if not (np.isfinite(p_vals).all() and np.isfinite(kept).all()):

@@ -67,7 +67,8 @@ def lone_trial_sweep():
             p, q, ok, norm = np.empty(n_runs), np.empty(n_runs), np.empty(n_runs, dtype=bool), np.empty(n_runs)
             for j in reversed(range(n_runs)):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-                p[j], q[j], ok[j], norm[j] = noise._run_trial(noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode), rng)
+                (p[j],), (q[j],), (ok[j],), (norm[j],) = noise._run_chunk(noise.NoiseModel(eps, p_mode),
+                                                                          noise.NoiseModel(eps, q_mode), [rng])
             kept = q[ok]
             std_p, std_q = np.std(p, ddof=1), np.std(kept, ddof=1)
             points.append(noise.SweepPoint(eps, n_runs, np.mean(p), std_p, std_p / math.sqrt(n_runs), np.mean(kept),

@@ -24,12 +24,12 @@ def test_running_every_check_prints_nothing(capsys):
 
 
 def test_a_registry_evolves_the_swap_once(monkeypatch):
-    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 4 spin-swap + 5 cycle pulses, then 15 for all three swap checks
+    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 1 spin-swap + 5 cycle pulses, then 15 for all three swap checks
     kernel, calls = chain.apply_bond_pulse, []
     monkeypatch.setattr(chain, "apply_bond_pulse", lambda *args: calls.append(args) or kernel(*args))
     for check in checks.registry().values():
         check.run()
-    assert len(calls) == 49
+    assert len(calls) == 46
 
 
 def wrong_kernel(monkeypatch):

@@ -301,7 +301,7 @@ def test_sweep_over_an_empty_grid_is_bad_input(tmp_path, capsys):
     ("argv", "message"),
     [
         (["--eps", "3e307,1e-3,1e-2"], "epsilon 3e+307 overflows the trials: P or Q is not finite"),
-        (["--eps", "1e308"], "epsilon 1e+308 overflows the trials: pulse duration must be finite, got inf"),
+        (["--eps", "1e308"], "epsilon 1e+308 overflows the trials: P or Q is not finite"),
         (["--eps-max", "inf"], "eps-max must be finite and positive, got inf"),
         (["--eps-max", "nan"], "eps-max must be finite and positive, got nan"),
         (["--eps-min", "0"], "eps-min must be finite and positive, got 0.0"),

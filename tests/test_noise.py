@@ -31,9 +31,10 @@ def test_noise_model_validates_inputs():
         noise.NoiseModel(1e-3, mode="per_block")
 
 
-def test_zero_strength_perturbation_changes_nothing():
+@pytest.mark.parametrize("eps", [0.0, -0.0])
+def test_zero_strength_perturbation_changes_nothing(eps):
     seq = gates.swap_sequence()
-    out = noise.perturb(seq, noise.NoiseModel(0.0), np.random.default_rng(0))
+    out = noise.perturb(seq, noise.NoiseModel(eps), np.random.default_rng(0))
     assert [p.duration for p in out] == [p.duration for p in seq]
     assert [p.bond for p in out] == [p.bond for p in seq]
 
@@ -122,9 +123,11 @@ def test_rotating_the_target_away_flags_the_trial():
 # ---------------------------------------------------------------- sweep
 
 
-def test_zero_noise_sweep_is_clean():
-    points = noise.sweep([0.0], n_runs=25)
+@pytest.mark.parametrize("eps", [0.0, -0.0])
+def test_zero_noise_sweep_is_clean(eps):
+    points = noise.sweep([eps], n_runs=25)
     point = points[0]
+    assert math.copysign(1.0, point.epsilon) == 1.0  # -0.0 is zero noise, written as 0
     assert point.mean_p < 1e-12
     assert point.mean_q < 1e-12
     assert point.excluded_trials == 0
@@ -371,12 +374,12 @@ def test_fit_json_shape():
 def test_trials_conserve_the_norm(seed):
     rng = np.random.default_rng(seed)
     common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
-    _, _, _, norm_err = noise._run_trial(common, independent, rng)
-    assert norm_err < 1e-12
+    _, _, _, norm_err = noise._run_chunk(common, independent, [rng])
+    assert norm_err.item() < 1e-12
 
 
 def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
-    """_run_trial written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions."""
+    """A lone trial of _run_chunk written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions."""
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
     ideal = gates.swap_sequence()
@@ -412,8 +415,8 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
         chunk = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial]) for trial in range(40)])
         for trial in range(40):
             want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
-            alone = noise._run_trial(p_noise, q_noise, np.random.default_rng([17, trial]))
-            for got in (alone, tuple(column[trial].item() for column in chunk)):
+            alone = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial])])
+            for got in (tuple(column.item() for column in alone), tuple(column[trial].item() for column in chunk)):
                 assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
                 assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
 
@@ -424,8 +427,8 @@ from spinlogic import noise
 for modes in (("common", "independent"), ("independent", "common")):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
     chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(40)])
-    alone = [noise._run_trial(*models, np.random.default_rng([5, j])) for j in range(40)]
-    assert all(np.array_equal(column, values) for column, values in zip(chunk, zip(*alone))), modes
+    alone = [noise._run_chunk(*models, [np.random.default_rng([5, j])]) for j in range(40)]
+    assert all(np.array_equal(column, np.concatenate(values)) for column, values in zip(chunk, zip(*alone))), modes
 """
 
 
