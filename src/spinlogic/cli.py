@@ -51,6 +51,8 @@ def _sequence(args) -> tuple[PulseSequence, float | None]:
         if theta is None:
             raise ValueError("gate P needs --theta")
         if args.degrees:
+            if not 0 <= theta <= 360:  # gates checks radians; name the unit as typed
+                raise ValueError(f"--theta must lie in [0, 360] degrees, got {theta}")
             theta = math.radians(theta)
         return gates.phase_sequence(theta, args.qubit), theta
     if args.gate == "F":

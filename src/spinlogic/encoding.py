@@ -142,7 +142,7 @@ def decode(state: np.ndarray, frame: LogicalFrame, n_columns: int | None = None)
     """
     n = frame.n_columns if n_columns is None else n_columns
     amps = frame.vectors[:, :n].conj().T @ np.asarray(state, dtype=np.complex128)
-    leakage = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+    leakage = max(0.0, 1.0 - squared_norm(amps))
     return amps, leakage
 
 

@@ -31,8 +31,8 @@ have no defined phase and are excluded from the phase mean but counted.
 A sweep runs each point's trials in chunks of at most CHUNK_TRIALS through
 one kernel: per pulse, one chain.apply_bond_pulse call on the chunk's stacked
 states with one duration per trial. np.matmul makes per trial the BLAS call a
-lone trial makes, and every reduction is per trial or in a batched form that
-rounds as one trial does, so a trial gives the same bits in any chunk.
+lone trial makes, and every reduction is batched in a form that rounds as one
+trial does, so a trial gives the same bits in any chunk.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -247,7 +247,7 @@ def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
         raise ValueError(f"initial_index must be 0..3, got {initial_index}")
     frame, targets, _ = _lab()
     psi = gates.simulate(perturbed, frame.vectors[:, initial_index], frame.subspace)
-    return _probability_errors(targets, [initial_index], psi[None])[0]
+    return _probability_errors(targets, [initial_index], psi[None, :, None])[0]
 
 
 def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
@@ -262,11 +262,11 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
 
 
 def _probability_errors(targets: np.ndarray, initial: list[int], psi: np.ndarray) -> np.ndarray:
-    """P of each (dim,) row of psi against the target of its initial state.
-
-    One np.vdot per trial: batched vdot, einsum and matmul forms round differently.
-    """
-    return np.array([abs(1.0 - abs(np.vdot(targets[:, i], state)) ** 2) for i, state in zip(initial, psi)])
+    """P of each (dim, 1) block of psi against its initial state's target, rounded as one trial's Python rounds:
+    a 1x1 matmul is BLAS's complex dot, hypot and float_power are libm's (abs of a complex, ** 2 of a float).
+    np.abs of a complex array and ** 2 of an array, which multiplies, round differently."""
+    overlaps = (targets.T.conj()[initial, None, :] @ psi)[:, 0, 0]
+    return np.abs(1.0 - np.float_power(np.hypot(overlaps.real, overlaps.imag), 2))
 
 
 def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +286,10 @@ def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
     """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
 
     Each trial draws its initial state, its P deviations and its Q deviations,
-    in that frozen order, from its own generator. Every reduction is per trial
-    or in a batched form that rounds as the lone trial does, so a trial's
-    results do not depend on the chunk it runs in; a chunk of one is a lone
-    trial. An infinite duration gives NaN results, not an error.
+    in that frozen order, from its own generator. Every reduction is batched
+    in a form that rounds as the lone trial does, so a trial's results do not
+    depend on the chunk it runs in; a chunk of one is a lone trial. An
+    infinite duration gives NaN results, not an error.
     """
     frame, targets, ideal = _lab()
     n, n_pulses = len(rngs), len(ideal)
@@ -311,7 +311,7 @@ def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
         evolved = chain.apply_bond_pulse(pulse.bond, q_durations[:, k], evolved, frame.subspace)
     squared_norms = np.concatenate([(block.conj() * block).real.sum(axis=1) for block in (psi, evolved)], axis=1)
     q_values, defined = _phase_errors(targets, evolved)
-    return (_probability_errors(targets, initial, psi[..., 0]), q_values, defined,
+    return (_probability_errors(targets, initial, psi), q_values, defined,
             np.abs(np.sqrt(squared_norms) - 1.0).max(axis=1))
 
 

@@ -39,8 +39,11 @@ def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
         (["simulate", "--gate", "P", "--theta", "abc", "--state", "1,0", "0,0"],
          "argument --theta: invalid float value: 'abc'"),
         (["simulate", "--gate", "X", "--state", "1,0", "0,0"], "argument --gate: invalid choice: 'X'"),
+        (["simulate", "--gate", "P", "--theta", "400", "--degrees", "--state", "1,0", "0,0"],
+         "--theta must lie in [0, 360] degrees, got 400.0"),
     ],
-    ids=["verify", "simulate", "sweep", "fit", "export-schedule", "corrupt-t2-text", "theta-text", "unknown-gate"],
+    ids=["verify", "simulate", "sweep", "fit", "export-schedule", "corrupt-t2-text", "theta-text", "unknown-gate",
+         "theta-degrees-range"],
 )
 def test_every_command_reports_bad_input_in_one_line(argv, message):
     done = run_spinlogic(*argv)

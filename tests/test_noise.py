@@ -421,6 +421,20 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
                 assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
 
 
+def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
+    """20 000 unit states at distances 1e-7..1e-1 from their targets give the bits of one trial's Python each."""
+    _, targets, _ = noise._lab()
+    rng = np.random.default_rng(2024)
+    n, dim = 20_000, targets.shape[0]
+    initial = rng.integers(4, size=n).tolist()
+    kicks = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    kicks *= np.geomspace(1e-7, 1e-1, n)[:, None] / np.linalg.norm(kicks, axis=1, keepdims=True)
+    states = targets.T[initial] + kicks
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    want = [abs(1.0 - abs(np.vdot(targets[:, i], state)) ** 2) for i, state in zip(initial, states)]
+    assert np.array_equal(noise._probability_errors(targets, initial, states[..., None]), want)
+
+
 _CHUNK_EQUALS_ITS_TRIALS_ALONE = """
 import numpy as np
 from spinlogic import noise
