@@ -200,19 +200,8 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     return psi
 
 
-def sector_weight(full_state: np.ndarray, sector: Subspace) -> float:
-    """Probability carried by a sector's patterns inside a full-space vector."""
-    return float(np.sum(np.abs(np.asarray(full_state)[list(sector.states)]) ** 2))
-
-
 def embed_in_full_space(state: np.ndarray, sector: Subspace) -> np.ndarray:
     """Lift a sector vector to the full 2^n basis."""
     psi = np.zeros(1 << sector.n_spins, dtype=np.complex128)
     psi[list(sector.states)] = np.asarray(state, dtype=np.complex128)
     return psi
-
-
-def restrict_to_sector(full_state: np.ndarray, sector: Subspace) -> np.ndarray:
-    """Project a full-space vector onto a sector basis (drops the complement)."""
-    psi = np.asarray(full_state, dtype=np.complex128)
-    return psi[list(sector.states)].copy()

@@ -146,15 +146,17 @@ def swap_phase(swapped: np.ndarray) -> tuple[float, str]:
 
 
 def full_space_oracle(swapped: np.ndarray) -> float:
-    """The sector evolution of the swap against the 64-dim oracle, plus the oracle's leakage."""
+    """The swap's 64-dim oracle against its sector evolution lifted to the full space.
+
+    The lifted vector is zero off the sector, so leakage shows as amplitude,
+    in the tolerance's units; the second term is the oracle's norm error.
+    """
     frame = encoding.pair_frame()
     amplitudes = np.array([0.5, 0.5, 0.5, 0.5])
-    psi0 = encoding.encode(amplitudes, frame)
-    in_sector = swapped @ amplitudes
-    in_full = chain.full_space_oracle(gates.swap_sequence(), chain.embed_in_full_space(psi0, frame.subspace))
-    leakage = 1.0 - chain.sector_weight(in_full, frame.subspace)
-    agreement = np.abs(chain.restrict_to_sector(in_full, frame.subspace) - in_sector).max()
-    return _worst([agreement, abs(leakage)])
+    psi0 = chain.embed_in_full_space(encoding.encode(amplitudes, frame), frame.subspace)
+    in_full = chain.full_space_oracle(gates.swap_sequence(), psi0)
+    expect = chain.embed_in_full_space(swapped @ amplitudes, frame.subspace)
+    return _worst([np.abs(in_full - expect).max(), abs(1.0 - encoding.squared_norm(in_full))])
 
 
 def registry(corrupt_t2: float | None = None) -> dict[str, Check]:

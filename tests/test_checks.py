@@ -39,6 +39,18 @@ def wrong_kernel(monkeypatch):
                         lambda bond, t, state, sub: kernel(bond, -t if bond == 2 else t, state, sub))
 
 
+def leaky_oracle(monkeypatch):
+    """An oracle that leaks amplitude 1e-7 onto the empty pattern, off the two-excitation sector."""
+    oracle = chain.full_space_oracle
+
+    def leaked(sequence, state):
+        psi = oracle(sequence, state)
+        psi[0] += 1e-7
+        return psi / np.linalg.norm(psi)
+
+    monkeypatch.setattr(chain, "full_space_oracle", leaked)
+
+
 def broken_sequence(monkeypatch, builder, broken):
     pulses = getattr(gates, builder)().pulses
     monkeypatch.setattr(gates, builder, lambda: PulseSequence(builder, broken(pulses)))
@@ -55,13 +67,14 @@ def broken_sequence(monkeypatch, builder, broken):
         ("logical-projection", lambda mp: mp.setattr(gates, "OMEGA", -math.sqrt(2) * math.pi)),
         ("flip-phase-condition", lambda mp: mp.setattr(gates, "T4", gates.T4 + 0.01)),
         ("full-space-oracle", wrong_kernel),
+        ("full-space-oracle", leaky_oracle),
         ("cycle-permutation", lambda mp: broken_sequence(
             mp, "cycle_sequence", lambda p: p[:2] + (Pulse(p[2].bond, 0.4, p[2].tag),) + p[3:])),
         ("cycle-permutation", lambda mp: broken_sequence(mp, "cycle_sequence", lambda pulses: pulses[:-1])),
     ],
     ids=["hadamard-T6", "phase-gate-phase", "spin-swap-phase", "swap-one-pulse-dropped",
          "swap-phase-one-pulse-dropped", "omega", "flip-T4",
-         "oracle-wrong-kernel", "cycle-one-pulse-at-0.4", "cycle-one-pulse-dropped"],
+         "oracle-wrong-kernel", "oracle-leak", "cycle-one-pulse-at-0.4", "cycle-one-pulse-dropped"],
 )
 def test_a_fault_pushes_the_check_above_its_tolerance(capsys, monkeypatch, name, fault):
     fault(monkeypatch)
