@@ -73,22 +73,28 @@ class Subspace:
         return generators
 
     @cached_property
-    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, and -1j * eigenvalues.
+    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, -1j * each distinct eigenvalue,
+        and the index that spreads those back over the spectrum.
 
         V and the eigenvalues come from the bond generator's eigendecomposition;
         these are what apply_bond_pulse multiplies by. Complex C-ordered copies
         give products bit-identical to the real eigenvectors (numpy casts those
-        the same way); F-ordered copies do not.
+        the same way); F-ordered copies do not. Eigenvalues are told apart by
+        their bit patterns, so -0.0 and +0.0 stay two, and a pulse takes exp of
+        each distinct value once (eigh gives every bond two).
         """
         factors = []
         for generator in self.bond_generators:
             values, vectors = linalg.eig_hermitian(generator)
+            # ravel: np.unique's inverse took the input's shape in some numpy 2.0.x releases
+            bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
             factors.append(
                 (
                     np.ascontiguousarray(vectors, dtype=np.complex128),
                     np.ascontiguousarray(vectors.conj().T, dtype=np.complex128),
-                    -1j * values,
+                    -1j * bits.view(np.float64),
+                    inverse.ravel(),
                 )
             )
         return tuple(factors)
@@ -141,25 +147,37 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
 
 
 def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a stack.
+    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a chunk.
 
-    A 1-D array of n durations takes an (n, dim, m) stack and evolves block k
-    for duration k. np.matmul makes, per block, the BLAS call ndarray.dot makes
-    for that block alone (gemv for m = 1, gemm otherwise), so every block gets
-    the bits it would get alone, whatever the stack holds.
+    A 1-D array of n durations takes a (dim, n, m) chunk and evolves trial j,
+    state[:, j, :], for duration j; every trial gets the bits it gets alone.
+    For m > 1 each factor is one gemm over all n * m columns: zgemm forms each
+    output column from its own sum over the dim inner terms, the same sum a
+    lone trial's gemm forms (checked under the OpenBLAS Haswell, SkylakeX,
+    Sandybridge and Prescott kernels). For m = 1 one gemm over the n columns
+    rounds a fifth of the entries differently from a lone vector's gemv, so
+    np.matmul makes that gemv per trial on the (n, dim, 1) transposed view,
+    and the result is that view's transpose.
     """
     factors = subspace.bond_factors
     if not 0 <= bond < len(factors):
         raise _bond_error(bond, subspace)
-    vectors, adjoint, minus_i_values = factors[bond]
+    vectors, adjoint, minus_i_values, spread = factors[bond]
     if isinstance(duration, np.ndarray):
-        if duration.ndim != 1 or state.ndim != 3 or state.shape[0] != duration.shape[0]:
-            raise ValueError(f"{duration.shape} durations do not match a stack of shape {state.shape}")
-        phases = np.exp(minus_i_values * duration[:, None])
-        return np.matmul(vectors, phases[..., None] * np.matmul(adjoint, state))
+        if duration.ndim != 1 or state.ndim != 3 or state.shape[1] != duration.shape[0]:
+            raise ValueError(f"{duration.shape} durations do not match a chunk of shape {state.shape}")
+        phases = np.exp(minus_i_values[:, None] * duration)[spread]  # (dim, n)
+        dim, n, m = state.shape
+        if m == 1:  # both factors of the multiply C-contiguous, as a lone trial's are
+            trials = np.ascontiguousarray(state.transpose(1, 0, 2))
+            weights = np.ascontiguousarray(phases.T)[..., None]
+            return np.matmul(vectors, np.multiply(weights, np.matmul(adjoint, trials))).transpose(1, 0, 2)
+        rotated = np.matmul(adjoint, state.reshape(dim, n * m)).reshape(dim, n, m)
+        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
+        return np.matmul(vectors, np.multiply(phases[..., None], rotated).reshape(dim, n * m)).reshape(dim, n, m)
     # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
     rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
-    phases = np.exp(minus_i_values * duration)
+    phases = np.exp(minus_i_values * duration)[spread]
     if rotated.ndim == 2:
         return vectors.dot(phases[:, None] * rotated)
     return vectors.dot(phases * rotated)

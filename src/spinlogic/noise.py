@@ -29,10 +29,13 @@ four target phases. Trials whose target overlap drops below OVERLAP_FLOOR
 have no defined phase and are excluded from the phase mean but counted.
 
 A sweep runs each point's trials in chunks of at most CHUNK_TRIALS through
-one kernel: per pulse, one chain.apply_bond_pulse call on the chunk's stacked
-states with one duration per trial. np.matmul makes per trial the BLAS call a
-lone trial makes, and every reduction is batched in a form that rounds as one
-trial does, so a trial gives the same bits in any chunk.
+one kernel: per pulse and channel, one chain.apply_bond_pulse call on the
+chunk's (dim, n, m) states with one duration per trial. Q's 4n columns go
+through one zgemm per factor, and a trial keeps a lone trial's bits because
+zgemm forms each output column from its own sum over the inner terms
+(checked under the OpenBLAS Haswell, SkylakeX, Sandybridge and Prescott
+kernels); P keeps one gemv per trial. Every reduction is batched in a form
+that rounds as one trial does, so a trial gives the same bits in any chunk.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -125,16 +128,13 @@ class PowerFit:
                            for key, value in asdict(self).items()}, allow_nan=False)
 
 
-def _deviations(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Gaussian duration deviations: one draw shared by all n in common mode, n draws in independent mode."""
-    if noise.mode == "common":
-        return np.full(n, rng.normal(0.0, noise.epsilon))
-    return rng.normal(0.0, noise.epsilon, size=n)
-
-
 def perturb(sequence: PulseSequence, noise: NoiseModel, rng: np.random.Generator) -> PulseSequence:
-    """Copy of the sequence with Gaussian duration deviations; tags are dropped."""
-    deltas = _deviations(noise, len(sequence), rng).tolist()
+    """Copy of the sequence with Gaussian duration deviations, one draw shared by all pulses in common mode;
+    tags are dropped."""
+    if noise.mode == "common":
+        deltas = [rng.normal(0.0, noise.epsilon)] * len(sequence)
+    else:
+        deltas = rng.normal(0.0, noise.epsilon, size=len(sequence)).tolist()
     pulses = tuple(Pulse(pulse.bond, pulse.duration + d) for pulse, d in zip(sequence.pulses, deltas))
     return PulseSequence(sequence.name, pulses)
 
@@ -281,34 +281,45 @@ def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray,
     return np.where(defined, spreads, math.nan), defined
 
 
+def _draws(p_noise: NoiseModel, q_noise: NoiseModel, rngs: list[np.random.Generator],
+           nominal: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Each trial's initial state and its P and Q pulse durations, drawn in that frozen order from its own generator.
+
+    A trial's row holds one standard_normal draw per pulse, or one shared by
+    all pulses in common mode. Scaled by epsilon once per chunk and added to
+    the nominal durations, that is bit for bit what perturb draws with
+    rng.normal(0, epsilon, n) or rng.normal(0, epsilon).
+    """
+    initial = []
+    widths = [1 if model.mode == "common" else len(nominal) for model in (p_noise, q_noise)]
+    p_rows, q_rows = (np.empty((len(rngs), width)) for width in widths)
+    for k, rng in enumerate(rngs):
+        initial.append(int(rng.integers(4)))
+        rng.standard_normal(out=p_rows[k])
+        rng.standard_normal(out=q_rows[k])
+    return initial, p_rows * p_noise.epsilon + nominal, q_rows * q_noise.epsilon + nominal
+
+
 def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
                rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
 
-    Each trial draws its initial state, its P deviations and its Q deviations,
-    in that frozen order, from its own generator. Every reduction is batched
-    in a form that rounds as the lone trial does, so a trial's results do not
-    depend on the chunk it runs in; a chunk of one is a lone trial. An
-    infinite duration gives NaN results, not an error.
+    The chunk's states are (dim, n, m) arrays, trial j in [:, j, :], that
+    chain.apply_bond_pulse evolves one pulse at a time; the reductions take
+    them as contiguous (n, dim, m) stacks. Every step is batched in a form
+    that rounds as the lone trial does, so a trial's results do not depend
+    on the chunk it runs in; a chunk of one is a lone trial. An infinite
+    duration gives NaN results, not an error.
     """
     frame, targets, ideal = _lab()
-    n, n_pulses = len(rngs), len(ideal)
-    initial = []
-    p_durations, q_durations = np.empty((n, n_pulses)), np.empty((n, n_pulses))
-    for k, rng in enumerate(rngs):
-        initial.append(int(rng.integers(4)))
-        p_durations[k] = _deviations(p_noise, n_pulses, rng)
-        q_durations[k] = _deviations(q_noise, n_pulses, rng)
-    nominal = np.array([pulse.duration for pulse in ideal])
-    p_durations += nominal
-    q_durations += nominal
-
-    psi = frame.vectors.T[initial][..., None]
-    basis = frame.vectors[:, :4]
-    evolved = np.broadcast_to(basis, (n, *basis.shape))
+    initial, p_durations, q_durations = _draws(p_noise, q_noise, rngs, np.array([pulse.duration for pulse in ideal]))
+    psi = frame.vectors[:, initial, None]
+    basis = frame.vectors[:, None, :4]
+    evolved = np.broadcast_to(basis, (basis.shape[0], len(rngs), 4))
     for k, pulse in enumerate(ideal):
         psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
         evolved = chain.apply_bond_pulse(pulse.bond, q_durations[:, k], evolved, frame.subspace)
+    psi, evolved = (np.ascontiguousarray(chunk.transpose(1, 0, 2)) for chunk in (psi, evolved))
     squared_norms = np.concatenate([(block.conj() * block).real.sum(axis=1) for block in (psi, evolved)], axis=1)
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,

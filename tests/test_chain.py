@@ -194,19 +194,24 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
     # +0.0 and -0.0 scale the spectrum to different signed zeros, and NaN must stay NaN
     durations = np.array([-0.3, 0.5, 3.7, 0.0, -0.0, math.nan])
     n = len(durations)
-    vecs = rng.normal(size=(n, sub.dim)) + 1j * rng.normal(size=(n, sub.dim))
-    blocks = rng.normal(size=(n, sub.dim, 5)) + 1j * rng.normal(size=(n, sub.dim, 5))
+    vecs = rng.normal(size=(sub.dim, n)) + 1j * rng.normal(size=(sub.dim, n))
+    blocks = rng.normal(size=(sub.dim, n, 5)) + 1j * rng.normal(size=(sub.dim, n, 5))
     for bond in range(n_spins - 1):
+        # the phase table holds each -1j * eigenvalue bit pattern once and spreads it back bit for bit
+        _, _, minus_i_values, spread = sub.bond_factors[bond]
+        values, _ = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+        assert len({value.tobytes() for value in minus_i_values}) == minus_i_values.size
+        assert np.array_equal(minus_i_values[spread].view(np.uint64), (-1j * values).view(np.uint64))
         for t in durations.tolist():
             for state in (vec, block):
                 expect = textbook_pulse(bond, t, state, sub)
                 assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect, equal_nan=True)
-        # a stack with one duration per state: each state gets the bits it gets alone
-        stacked_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
-        stacked_blocks = chain.apply_bond_pulse(bond, durations, blocks, sub)
+        # a (dim, n, m) chunk with one duration per trial: each trial gets the bits it gets alone
+        chunk_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
+        chunk_blocks = chain.apply_bond_pulse(bond, durations, blocks, sub)
         for k, t in enumerate(durations.tolist()):
-            assert np.array_equal(stacked_vecs[k, :, 0], textbook_pulse(bond, t, vecs[k], sub), equal_nan=True)
-            assert np.array_equal(stacked_blocks[k], textbook_pulse(bond, t, blocks[k], sub), equal_nan=True)
+            assert np.array_equal(chunk_vecs[:, k, 0], textbook_pulse(bond, t, vecs[:, k].copy(), sub), equal_nan=True)
+            assert np.array_equal(chunk_blocks[:, k], textbook_pulse(bond, t, blocks[:, k].copy(), sub), equal_nan=True)
 
 
 def test_shared_structure_is_read_only():
@@ -230,7 +235,8 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     snapshot = pickle.dumps(vars(sub))
     chain.apply_bond_pulse(1, 1.25, vec, sub)
     chain.apply_bond_pulse(2, -0.75, block, sub)
-    chain.apply_bond_pulse(3, np.array([0.5, 2.0]), np.stack([block, block]), sub)
+    chain.apply_bond_pulse(3, np.array([0.5, 2.0]), np.stack([block, block], axis=1), sub)
+    chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec], axis=1)[..., None], sub)
     assert pickle.dumps(vars(sub)) == snapshot
 
 
@@ -243,6 +249,8 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
             chain.apply_bond_pulse(bond, 0.5, psi, sub)
     with pytest.raises(ValueError):
         chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)
-    for count, stack in ((2, psi[None, :, None]), (1, psi), (1, psi[None, :-1, None])):  # one duration per state
+    blocks = np.stack([psi] * 5, axis=1)[:, None, :]
+    # a (dim, n, m) chunk with one duration per trial, for m = 1 and m = 5
+    for count, chunk in ((2, psi[:, None, None]), (1, psi), (1, psi[:-1, None, None]), (2, blocks), (1, blocks[:-1])):
         with pytest.raises(ValueError):
-            chain.apply_bond_pulse(0, np.full(count, 0.5), stack, sub)
+            chain.apply_bond_pulse(0, np.full(count, 0.5), chunk, sub)

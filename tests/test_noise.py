@@ -421,6 +421,24 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
                 assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
 
 
+@pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
+@pytest.mark.parametrize("eps", [0.0, 1e-4, 3e307])
+def test_chunk_draws_are_bitwise_numpys_normal(p_mode, q_mode, eps):
+    """A chunk's scaled standard_normal rows, once 0.5 is added, are rng.normal(0, eps, 15) or rng.normal(0, eps)."""
+    models = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
+    seeds = range(1000)
+    initial, p_rows, q_rows = noise._draws(*models, [np.random.default_rng([23, s]) for s in seeds], np.full(15, 0.5))
+    want_initial, want_p, want_q = [], [], []
+    for s in seeds:
+        rng = np.random.default_rng([23, s])
+        want_initial.append(int(rng.integers(4)))
+        for mode, rows in ((p_mode, want_p), (q_mode, want_q)):
+            rows.append(rng.normal(0.0, eps, 15) if mode == "independent" else np.full(15, rng.normal(0.0, eps)))
+    assert initial == want_initial
+    assert np.array_equal(p_rows, np.array(want_p) + 0.5)
+    assert np.array_equal(q_rows, np.array(want_q) + 0.5)
+
+
 def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
     """20 000 unit states at distances 1e-7..1e-1 from their targets give the bits of one trial's Python each."""
     _, targets, _ = noise._lab()
@@ -438,11 +456,12 @@ def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
 _CHUNK_EQUALS_ITS_TRIALS_ALONE = """
 import numpy as np
 from spinlogic import noise
-for modes in (("common", "independent"), ("independent", "common")):
+# 37 trials give Q 148 columns, not a multiple of 8, so the gemm runs its edge tiles
+for n, modes in ((n, modes) for n in (40, 37) for modes in (("common", "independent"), ("independent", "common"))):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
-    chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(40)])
-    alone = [noise._run_chunk(*models, [np.random.default_rng([5, j])]) for j in range(40)]
-    assert all(np.array_equal(column, np.concatenate(values)) for column, values in zip(chunk, zip(*alone))), modes
+    chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(n)])
+    alone = [noise._run_chunk(*models, [np.random.default_rng([5, j])]) for j in range(n)]
+    assert all(np.array_equal(column, np.concatenate(values)) for column, values in zip(chunk, zip(*alone))), (n, modes)
 """
 
 
