@@ -38,7 +38,7 @@ MAX_FULL_SPINS = 8
 class Subspace:
     """A fixed-excitation sector (or the full space, n_excitations=None).
 
-    Bond generators and propagator factors are cached on the instance;
+    Bond generators, propagator factors and swap maps are cached on the instance;
     enumerate_subspace and full_space hand out one shared instance per sector,
     so every caller reuses them without hashing the states.
     """
@@ -99,6 +99,21 @@ class Subspace:
             )
         return tuple(factors)
 
+    @cached_property
+    def bond_swaps(self) -> tuple[np.ndarray, ...]:
+        """Per bond, bond 0 first: the index each basis state maps to with spins k and k+1 exchanged, read-only.
+
+        bond_swap_indices restricted to the subspace (a swap keeps the excitation
+        number), so the generator is pi * S_k - pi/2 on the basis here too.
+        """
+        states = np.array(self.states)
+        position = np.zeros(1 << self.n_spins, dtype=np.intp)
+        position[states] = np.arange(self.dim)
+        maps = tuple(position[swapped[states]] for swapped in bond_swap_indices(self.n_spins))
+        for swapped in maps:
+            swapped.flags.writeable = False
+        return maps
+
 
 @cache
 def enumerate_subspace(n_spins: int, n_excitations: int) -> Subspace:
@@ -147,34 +162,27 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
 
 
 def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a chunk.
+    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a (dim, n, 1) chunk.
 
-    A 1-D array of n durations takes a (dim, n, m) chunk and evolves trial j,
-    state[:, j, :], for duration j; every trial gets the bits it gets alone.
-    For m > 1 each factor is one gemm over all n * m columns: zgemm forms each
-    output column from its own sum over the dim inner terms, the same sum a
-    lone trial's gemm forms (checked under the OpenBLAS Haswell, SkylakeX,
-    Sandybridge and Prescott kernels). For m = 1 one gemm over the n columns
-    rounds a fifth of the entries differently from a lone vector's gemv, so
-    np.matmul makes that gemv per trial on the (n, dim, 1) transposed view,
-    and the result is that view's transpose.
+    The factors are the bond generator's eigenbasis, V exp(-i lambda t) V^dagger.
+    A 1-D array of n durations evolves trial j, state[:, j, 0], for duration j
+    with the bits it gets alone: np.matmul makes one gemv per trial on the
+    contiguous (n, dim, 1) transposed view, as for a lone vector, where one gemm
+    over the n columns would round a fifth of the entries differently. P's
+    chunk takes this branch; Q's chunk takes swap_pulse.
     """
     factors = subspace.bond_factors
     if not 0 <= bond < len(factors):
         raise _bond_error(bond, subspace)
     vectors, adjoint, minus_i_values, spread = factors[bond]
     if isinstance(duration, np.ndarray):
-        if duration.ndim != 1 or state.ndim != 3 or state.shape[1] != duration.shape[0]:
-            raise ValueError(f"{duration.shape} durations do not match a chunk of shape {state.shape}")
+        if duration.ndim != 1 or state.ndim != 3 or state.shape[1:] != (len(duration), 1):
+            raise ValueError(f"{duration.shape} durations do not match a (dim, n, 1) chunk of shape {state.shape}")
         phases = np.exp(minus_i_values[:, None] * duration)[spread]  # (dim, n)
-        dim, n, m = state.shape
-        if m == 1:  # both factors of the multiply C-contiguous, as a lone trial's are
-            trials = np.ascontiguousarray(state.transpose(1, 0, 2))
-            weights = np.ascontiguousarray(phases.T)[..., None]
-            return np.matmul(vectors, np.multiply(weights, np.matmul(adjoint, trials))).transpose(1, 0, 2)
-        rotated = np.matmul(adjoint, state.reshape(dim, n * m)).reshape(dim, n, m)
+        trials = np.ascontiguousarray(state.transpose(1, 0, 2))
+        weights = np.ascontiguousarray(phases.T)[..., None]
         # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-        return np.matmul(vectors, np.multiply(phases[..., None], rotated).reshape(dim, n * m)).reshape(dim, n, m)
+        return np.matmul(vectors, np.multiply(weights, np.matmul(adjoint, trials))).transpose(1, 0, 2)
     # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
     rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
     phases = np.exp(minus_i_values * duration)[spread]
@@ -183,13 +191,47 @@ def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray,
     return vectors.dot(phases * rotated)
 
 
+def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c and s with exp(-i V_k t) = c + s S_k for each duration t, on every bond and subspace.
+
+    V_k = pi * S_k - pi/2 and S_k^2 = 1 give c = exp(i pi t/2) cos(pi t) and
+    s = -i exp(i pi t/2) sin(pi t) (DiVincenzo et al., quant-ph/0005116). The
+    pulse has period 4 in t, so t enters as fmod(t, 4), which is exact: every
+    finite duration gives finite coefficients, and a NaN or infinite one gives
+    NaN. Only real multiplies follow the trigonometry, so an entry's bits do
+    not depend on its place in the array.
+    """
+    angle = np.pi * np.fmod(durations, 4.0)
+    cos, sin = np.cos(angle), np.sin(angle)
+    half_cos, half_sin = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    c, s = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
+    c.real, c.imag = half_cos * cos, half_sin * cos
+    s.real, s.imag = half_sin * sin, -(half_cos * sin)
+    return c, s
+
+
+def swap_pulse(swap: np.ndarray, c: np.ndarray, s: np.ndarray, state: np.ndarray, gathered: np.ndarray) -> None:
+    """One bond pulse on a (dim, ..., n) chunk in place, trial j in state[..., j]: state = c * state + s * state[swap].
+
+    swap is the bond's Subspace.bond_swaps map, and c and s are the n trials'
+    swap_coefficients. gathered is a scratch array of the state's shape, so a
+    pulse allocates nothing, and no BLAS call is made.
+    """
+    np.take(state, swap, axis=0, out=gathered, mode="clip")  # every index is in range; "raise" buffers the output
+    np.multiply(state, c, out=state)
+    np.multiply(gathered, s, out=gathered)
+    np.add(state, gathered, out=state)
+
+
 @cache
 def bond_swap_indices(n_spins: int) -> tuple[np.ndarray, ...]:
     """Per bond of an n-spin chain, the index each full-space pattern maps to with bits k and k+1 exchanged.
 
-    Built once per chain length and read-only.
+    Built once per chain length and read-only; Subspace.bond_swaps restricts it to a sector.
     """
-    index = np.arange(full_space(n_spins).dim)
+    if not 1 <= n_spins <= MAX_SECTOR_SPINS:
+        raise ValueError(f"n_spins must be in [1, {MAX_SECTOR_SPINS}], got {n_spins}")
+    index = np.arange(1 << n_spins)
     maps = tuple(index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1))
     for swapped in maps:
         swapped.flags.writeable = False
@@ -199,20 +241,20 @@ def bond_swap_indices(n_spins: int) -> tuple[np.ndarray, ...]:
 def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     """Evolve a full 2^n state vector through a pulse sequence, no sector shortcut.
 
-    Shares no code with apply_bond_pulse: V_k = pi*SWAP_k - pi/2 and SWAP_k^2 = 1 give
-    exp(-i V_k t) = exp(i*pi*t/2) [cos(pi*t) - i*sin(pi*t) SWAP_k] (DiVincenzo et al.,
-    quant-ph/0005116), where SWAP_k exchanges bits k and k+1 of every basis index. The
+    Shares no code with apply_bond_pulse, and with swap_pulse only the swap map: V_k = pi*SWAP_k - pi/2
+    and SWAP_k^2 = 1 give exp(-i V_k t) = exp(i*pi*t/2) [cos(pi*t) - i*sin(pi*t) SWAP_k] (DiVincenzo
+    et al., quant-ph/0005116), where SWAP_k exchanges bits k and k+1 of every basis index. The
     chain length is inferred from the state length, a power of two of at most MAX_FULL_SPINS bits.
     """
     psi = np.asarray(initial_state, dtype=np.complex128)
     dim = psi.shape[0]
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
-    n_spins = dim.bit_length() - 1
-    swapped = bond_swap_indices(n_spins)
+    space = full_space(dim.bit_length() - 1)
+    swapped = bond_swap_indices(space.n_spins)
     for pulse in sequence:
         if not 0 <= pulse.bond < len(swapped):
-            raise _bond_error(pulse.bond, full_space(n_spins))
+            raise _bond_error(pulse.bond, space)
         angle = math.pi * pulse.duration
         psi = cmath.exp(0.5j * angle) * (math.cos(angle) * psi - 1j * math.sin(angle) * psi[swapped[pulse.bond]])
     return psi

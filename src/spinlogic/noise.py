@@ -29,19 +29,23 @@ four target phases. Trials whose target overlap drops below OVERLAP_FLOOR
 have no defined phase and are excluded from the phase mean but counted.
 
 A sweep runs each point's trials in chunks of at most CHUNK_TRIALS through
-one kernel: per pulse and channel, one chain.apply_bond_pulse call on the
-chunk's (dim, n, m) states with one duration per trial. Q's 4n columns go
-through one zgemm per factor, and a trial keeps a lone trial's bits because
-zgemm forms each output column from its own sum over the inner terms
-(checked under the OpenBLAS Haswell, SkylakeX, Sandybridge and Prescott
-kernels); P keeps one gemv per trial. Every reduction is batched in a form
-that rounds as one trial does, so a trial gives the same bits in any chunk.
+one kernel. Q's chunk evolves by the closed form of each pulse,
+exp(-i V_k t) = c + s S_k with S_k the bond's swap (chain.swap_pulse): an
+elementwise multiply-add on a gather, with no BLAS, whose coefficients are
+computed once per chunk. P keeps the eigenbasis, one gemv per trial
+(chain.apply_bond_pulse), until a re-recorded benchmark reference admits its
+new bits: float64 P at the smallest epsilon is rounding-limited, and the
+closed form moves its fitted amplitude by about 1 %. Every step and every
+reduction is batched in a form that rounds as one trial does, so a trial
+gives the same bits in any chunk.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
 neither on the order in which trials run nor on how they are chunked. A sweep
 computes those seeds a chunk at a time with SeedSequence's hash on uint32
 arrays (_substream_states), which a test checks against SeedSequence itself.
+Q's path calls no BLAS, so its columns keep their bytes under any OpenBLAS
+kernel; P's gemv does not, and turning off numpy's AVX512 loops changes Q's.
 """
 from __future__ import annotations
 
@@ -285,41 +289,47 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, rngs: list[np.random.Genera
            nominal: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Each trial's initial state and its P and Q pulse durations, drawn in that frozen order from its own generator.
 
-    A trial's row holds one standard_normal draw per pulse, or one shared by
-    all pulses in common mode. Scaled by epsilon once per chunk and added to
-    the nominal durations, that is bit for bit what perturb draws with
-    rng.normal(0, epsilon, n) or rng.normal(0, epsilon).
+    A trial makes two calls. Its initial index is bits 30 and 31 of its first
+    raw word, which is rng.integers(4): Lemire's method on the word's low 32
+    bits, (low * 4) >> 32, whose buffered high half nothing reads. Then one
+    standard_normal fills the trial's row of P's and then Q's draws, one per
+    pulse or one for all pulses in common mode. Scaled by epsilon once per
+    chunk and added to the nominal durations, that is bit for bit what
+    perturb draws with rng.normal(0, epsilon, n) or rng.normal(0, epsilon).
     """
+    p_width, q_width = (1 if model.mode == "common" else len(nominal) for model in (p_noise, q_noise))
+    rows = np.empty((len(rngs), p_width + q_width))
     initial = []
-    widths = [1 if model.mode == "common" else len(nominal) for model in (p_noise, q_noise)]
-    p_rows, q_rows = (np.empty((len(rngs), width)) for width in widths)
-    for k, rng in enumerate(rngs):
-        initial.append(int(rng.integers(4)))
-        rng.standard_normal(out=p_rows[k])
-        rng.standard_normal(out=q_rows[k])
-    return initial, p_rows * p_noise.epsilon + nominal, q_rows * q_noise.epsilon + nominal
+    for rng, row in zip(rngs, rows):
+        initial.append(rng.bit_generator.random_raw() >> 30 & 3)
+        rng.standard_normal(out=row)
+    return (initial, rows[:, :p_width] * p_noise.epsilon + nominal,
+            rows[:, p_width:] * q_noise.epsilon + nominal)
 
 
 def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
                rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
 
-    The chunk's states are (dim, n, m) arrays, trial j in [:, j, :], that
-    chain.apply_bond_pulse evolves one pulse at a time; the reductions take
-    them as contiguous (n, dim, m) stacks. Every step is batched in a form
-    that rounds as the lone trial does, so a trial's results do not depend
-    on the chunk it runs in; a chunk of one is a lone trial. An infinite
-    duration gives NaN results, not an error.
+    P's chunk is (dim, n, 1), trial j in [:, j], and chain.apply_bond_pulse
+    evolves it with one gemv per trial. Q's chunk is (dim, 4, n), trial j in
+    [..., j], and chain.swap_pulse evolves it in two reused buffers. The
+    reductions take both as contiguous (n, dim, m) stacks. Every step rounds
+    as the lone trial does, so a trial's results do not depend on its chunk;
+    a chunk of one is a lone trial. A NaN or infinite duration gives NaN
+    results, not an error.
     """
     frame, targets, ideal = _lab()
     initial, p_durations, q_durations = _draws(p_noise, q_noise, rngs, np.array([pulse.duration for pulse in ideal]))
+    c, s = chain.swap_coefficients(q_durations.T)
+    swaps = frame.subspace.bond_swaps
     psi = frame.vectors[:, initial, None]
-    basis = frame.vectors[:, None, :4]
-    evolved = np.broadcast_to(basis, (basis.shape[0], len(rngs), 4))
+    evolved = np.repeat(frame.vectors[:, :4, None], len(rngs), axis=2)
+    gathered = np.empty_like(evolved)
     for k, pulse in enumerate(ideal):
         psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
-        evolved = chain.apply_bond_pulse(pulse.bond, q_durations[:, k], evolved, frame.subspace)
-    psi, evolved = (np.ascontiguousarray(chunk.transpose(1, 0, 2)) for chunk in (psi, evolved))
+        chain.swap_pulse(swaps[pulse.bond], c[k], s[k], evolved, gathered)
+    psi, evolved = np.ascontiguousarray(psi.transpose(1, 0, 2)), np.ascontiguousarray(evolved.transpose(2, 0, 1))
     squared_norms = np.concatenate([(block.conj() * block).real.sum(axis=1) for block in (psi, evolved)], axis=1)
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,

@@ -182,12 +182,19 @@ def test_embed_puts_the_amplitudes_on_the_sector_patterns():
     assert not np.delete(full, sector.states).any()
 
 
-@pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
+_SPACES = pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
+
+
+def _space(n_spins, n_excitations):
+    return chain.full_space(n_spins) if n_excitations is None else chain.enumerate_subspace(n_spins, n_excitations)
+
+
+@_SPACES
 def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse):
     # V exp(-i lambda t) V^dagger psi, from the real eigensystem, exactly as
     # first written: the cached complex factors must not move a single bit
-    n_spins, n_excitations = space
-    sub = chain.full_space(n_spins) if n_excitations is None else chain.enumerate_subspace(n_spins, n_excitations)
+    n_spins, _ = space
+    sub = _space(*space)
     rng = np.random.default_rng(11)
     vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     block = rng.normal(size=(sub.dim, 5)) + 1j * rng.normal(size=(sub.dim, 5))
@@ -195,7 +202,6 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
     durations = np.array([-0.3, 0.5, 3.7, 0.0, -0.0, math.nan])
     n = len(durations)
     vecs = rng.normal(size=(sub.dim, n)) + 1j * rng.normal(size=(sub.dim, n))
-    blocks = rng.normal(size=(sub.dim, n, 5)) + 1j * rng.normal(size=(sub.dim, n, 5))
     for bond in range(n_spins - 1):
         # the phase table holds each -1j * eigenvalue bit pattern once and spreads it back bit for bit
         _, _, minus_i_values, spread = sub.bond_factors[bond]
@@ -206,12 +212,58 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
             for state in (vec, block):
                 expect = textbook_pulse(bond, t, state, sub)
                 assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect, equal_nan=True)
-        # a (dim, n, m) chunk with one duration per trial: each trial gets the bits it gets alone
+        # a (dim, n, 1) chunk with one duration per trial: each trial gets the bits it gets alone
         chunk_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
-        chunk_blocks = chain.apply_bond_pulse(bond, durations, blocks, sub)
         for k, t in enumerate(durations.tolist()):
             assert np.array_equal(chunk_vecs[:, k, 0], textbook_pulse(bond, t, vecs[:, k].copy(), sub), equal_nan=True)
-            assert np.array_equal(chunk_blocks[:, k], textbook_pulse(bond, t, blocks[:, k].copy(), sub), equal_nan=True)
+
+
+@pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None), (10, 5)],
+                         ids=["sector-6-2", "sector-6-3", "full-64", "sector-10-5"])
+def test_bond_generators_are_pi_swap_minus_half_pi(space):
+    # the swap maps restrict bond_swap_indices to the basis, also past the full space's 8-spin cap;
+    # built apart from the generators, they must agree exactly
+    n_spins, _ = space
+    sub = _space(*space)
+    identity = np.eye(sub.dim)
+    assert len(sub.bond_swaps) == n_spins - 1
+    for generator, swap in zip(sub.bond_generators, sub.bond_swaps):
+        assert np.array_equal(swap[swap], np.arange(sub.dim))
+        assert np.array_equal(generator, PI * identity[swap] - PI / 2 * identity)
+        with pytest.raises(ValueError, match="read-only"):
+            swap[0] = 0
+
+
+# The closed form against the eigenbasis, per trial: over 200 random (dim, 5, 5)
+# chunks of N(0, 1) + i N(0, 1) entries on each space and bond, at the five finite
+# durations below, the largest entry difference was 3.8e-15; the bound is 1e-14.
+SWAP_PULSE_BOUND = 1e-14
+
+
+@_SPACES
+def test_swap_pulse_matches_the_textbook_pulse(space, textbook_pulse):
+    n_spins, _ = space
+    sub = _space(*space)
+    rng = np.random.default_rng(11)
+    durations = np.array([-0.3, 0.5, 3.7, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    finite = np.isfinite(durations)
+    chunk = rng.normal(size=(sub.dim, 5, len(durations))) + 1j * rng.normal(size=(sub.dim, 5, len(durations)))
+    with np.errstate(invalid="ignore"):  # fmod of an infinite duration
+        c, s = chain.swap_coefficients(durations)
+    for bond in range(n_spins - 1):
+        state, gathered = chunk.copy(), np.empty_like(chunk)
+        chain.swap_pulse(sub.bond_swaps[bond], c, s, state, gathered)
+        assert np.isnan(state[..., ~finite]).all()
+        for k in np.flatnonzero(finite):
+            assert np.abs(state[..., k] - textbook_pulse(bond, durations[k], chunk[..., k], sub)).max() <= SWAP_PULSE_BOUND
+            alone = chunk[..., k:k + 1].copy()
+            chain.swap_pulse(sub.bond_swaps[bond], c[k:k + 1], s[k:k + 1], alone, np.empty_like(alone))
+            assert np.array_equal(alone[..., 0], state[..., k])  # a trial pulsed alone gets the chunk's bits
+    # the pulse has period 4 and a duration enters as fmod(t, 4), exactly: a float
+    # as large as 3e307 is a multiple of 4, so its pulse is the identity, not NaN
+    c, s = chain.swap_coefficients(np.array([3e307, -3e307, 4.5, 0.5]))
+    assert np.array_equal(c[:2], [1, 1]) and np.array_equal(s[:2], [0, 0])
+    assert c[2] == c[3] and s[2] == s[3]
 
 
 def test_shared_structure_is_read_only():
@@ -232,10 +284,12 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     block = rng.normal(size=(sub.dim, 4)) + 1j * rng.normal(size=(sub.dim, 4))
     chain.apply_bond_pulse(0, 0.5, vec, sub)  # builds the cached factors
+    swaps = sub.bond_swaps  # and the swap maps
     snapshot = pickle.dumps(vars(sub))
     chain.apply_bond_pulse(1, 1.25, vec, sub)
     chain.apply_bond_pulse(2, -0.75, block, sub)
-    chain.apply_bond_pulse(3, np.array([0.5, 2.0]), np.stack([block, block], axis=1), sub)
+    chunk = np.stack([block, block], axis=2)
+    chain.swap_pulse(swaps[3], *chain.swap_coefficients(np.array([0.5, 2.0])), chunk, np.empty_like(chunk))
     chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec], axis=1)[..., None], sub)
     assert pickle.dumps(vars(sub)) == snapshot
 
@@ -250,7 +304,8 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
     with pytest.raises(ValueError):
         chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)
     blocks = np.stack([psi] * 5, axis=1)[:, None, :]
-    # a (dim, n, m) chunk with one duration per trial, for m = 1 and m = 5
-    for count, chunk in ((2, psi[:, None, None]), (1, psi), (1, psi[:-1, None, None]), (2, blocks), (1, blocks[:-1])):
+    # a (dim, n, 1) chunk with one duration per trial; a chunk of m = 5 columns per trial is swap_pulse's
+    for count, chunk in ((2, psi[:, None, None]), (1, psi), (1, psi[:-1, None, None]), (2, blocks), (1, blocks[:-1]),
+                         (1, blocks)):
         with pytest.raises(ValueError):
             chain.apply_bond_pulse(0, np.full(count, 0.5), chunk, sub)

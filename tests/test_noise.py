@@ -379,19 +379,24 @@ def test_trials_conserve_the_norm(seed):
 
 
 def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
-    """A lone trial of _run_chunk written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions."""
+    """A lone trial of _run_chunk written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions.
+
+    Q's pulses take fmod(t, 4) as their duration, as chain.swap_coefficients
+    does: the pulse has period 4 and the reduction is exact, so it is the same
+    operator, and a huge duration does not overflow lambda * t.
+    """
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
     ideal = gates.swap_sequence()
 
-    def evolve(sequence, state):
+    def evolve(sequence, state, reduce=lambda t: t):
         for pulse in sequence:
-            state = textbook_pulse(pulse.bond, pulse.duration, state, frame.subspace)
+            state = textbook_pulse(pulse.bond, reduce(pulse.duration), state, frame.subspace)
         return state
 
     initial = int(rng.integers(4))
     psi = evolve(noise.perturb(ideal, p_noise, rng), frame.vectors[:, initial])
-    evolved = evolve(noise.perturb(ideal, q_noise, rng), frame.vectors[:, :4])
+    evolved = evolve(noise.perturb(ideal, q_noise, rng), frame.vectors[:, :4], lambda t: math.fmod(t, 4.0))
     p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
     defined = not np.abs(overlaps).min() < noise.OVERLAP_FLOOR  # a NaN overlap counts as defined
@@ -406,19 +411,36 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+# Q's closed form against the eigenbasis: over trials [17, 0..1999] in both mode
+# pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), the largest |Q - textbook Q|
+# was 1.67e-15, and so was the largest norm-error difference (the norm error
+# takes the max over Q's columns too); the bound on both is 4e-15.
+TRIAL_BOUND = 4e-15
+
+
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
-@pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: some durations overflow -i*lambda*t
+@pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: P's lambda * t overflows; Q's pulses are identities
 def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
-    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's bits."""
+    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's P and defined bits, and its Q
+    and norm error to TRIAL_BOUND; the chunk and the lone trial agree bit for bit.
+
+    At 3e307 every duration is a multiple of 4, so each Q pulse is the identity,
+    no target overlap is defined and Q is NaN in both; P overflows in some
+    trials, which is what refuses such a point.
+    """
     p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     with np.errstate(all="ignore"):
         chunk = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial]) for trial in range(40)])
         for trial in range(40):
             want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
-            alone = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial])])
-            for got in (tuple(column.item() for column in alone), tuple(column[trial].item() for column in chunk)):
-                assert _same(got[0], want[0]) and _same(got[1], want[1]) and got[2] == want[2]
-                assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
+            alone = tuple(column.item() for column in noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial])]))
+            got = tuple(column[trial].item() for column in chunk)
+            assert all(_same(a, b) for a, b in zip(got, alone))
+            assert _same(got[0], want[0]) and got[2] == want[2]
+            assert _same(got[1], want[1]) or abs(got[1] - want[1]) <= TRIAL_BOUND
+            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= TRIAL_BOUND
+    if eps == 3e307:
+        assert not chunk[2].any() and not np.isfinite(chunk[0]).all()
 
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
@@ -456,7 +478,7 @@ def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
 _CHUNK_EQUALS_ITS_TRIALS_ALONE = """
 import numpy as np
 from spinlogic import noise
-# 37 trials give Q 148 columns, not a multiple of 8, so the gemm runs its edge tiles
+# 37 trials: the elementwise loops over a chunk's trials end on a partial SIMD vector
 for n, modes in ((n, modes) for n in (40, 37) for modes in (("common", "independent"), ("independent", "common"))):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
     chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(n)])
