@@ -229,9 +229,7 @@ def bond_swap_indices(n_spins: int) -> tuple[np.ndarray, ...]:
 
     Built once per chain length and read-only; Subspace.bond_swaps restricts it to a sector.
     """
-    if not 1 <= n_spins <= MAX_SECTOR_SPINS:
-        raise ValueError(f"n_spins must be in [1, {MAX_SECTOR_SPINS}], got {n_spins}")
-    index = np.arange(1 << n_spins)
+    index = np.arange(full_space(n_spins).dim)
     maps = tuple(index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1))
     for swapped in maps:
         swapped.flags.writeable = False
@@ -250,11 +248,11 @@ def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     dim = psi.shape[0]
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
-    space = full_space(dim.bit_length() - 1)
-    swapped = bond_swap_indices(space.n_spins)
+    n_spins = dim.bit_length() - 1
+    swapped = bond_swap_indices(n_spins)
     for pulse in sequence:
         if not 0 <= pulse.bond < len(swapped):
-            raise _bond_error(pulse.bond, space)
+            raise _bond_error(pulse.bond, full_space(n_spins))
         angle = math.pi * pulse.duration
         psi = cmath.exp(0.5j * angle) * (math.cos(angle) * psi - 1j * math.sin(angle) * psi[swapped[pulse.bond]])
     return psi

@@ -278,7 +278,7 @@ def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray,
     overlaps = np.einsum("ij,kij->kj", targets.conj(), evolved)
     defined = ~(np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR)  # a NaN overlap counts as defined
     # np.angle rather than cmath.phase, which can differ in the last bit; a NaN
-    # phase (from an overflowed duration) makes the spread NaN
+    # phase (from an infinite or NaN duration) makes the spread NaN
     phases = np.angle(overlaps)
     diffs = np.abs(phases[:, :, None] - phases[:, None, :])
     spreads = np.minimum(diffs, 2 * math.pi - diffs).max(axis=(1, 2))
@@ -373,9 +373,10 @@ def sweep(
         q_vals = np.empty(n_runs)
         defined = np.empty(n_runs, dtype=bool)
         norm_errs = np.empty(n_runs)
-        # near the float limit a duration overflows: a draw becomes inf or
-        # exp(-i*lambda*t) leaves the float range, and either turns P or Q into
-        # NaN. That is refused once for the point below, so numpy's per-pulse
+        # near the float limit a duration overflows: an infinite draw turns P
+        # or Q into NaN, and P's exp(-i*lambda*t) can leave the float range
+        # (Q's coefficients take t modulo 4, so a finite t cannot overflow them).
+        # That is refused once for the point below, so numpy's per-pulse
         # warnings are silenced here.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n_runs, CHUNK_TRIALS):

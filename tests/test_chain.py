@@ -218,11 +218,9 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
             assert np.array_equal(chunk_vecs[:, k, 0], textbook_pulse(bond, t, vecs[:, k].copy(), sub), equal_nan=True)
 
 
-@pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None), (10, 5)],
-                         ids=["sector-6-2", "sector-6-3", "full-64", "sector-10-5"])
+@pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
 def test_bond_generators_are_pi_swap_minus_half_pi(space):
-    # the swap maps restrict bond_swap_indices to the basis, also past the full space's 8-spin cap;
-    # built apart from the generators, they must agree exactly
+    # the swap maps restrict bond_swap_indices to the basis; built apart from the generators, they must agree exactly
     n_spins, _ = space
     sub = _space(*space)
     identity = np.eye(sub.dim)

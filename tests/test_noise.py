@@ -383,7 +383,10 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
 
     Q's pulses take fmod(t, 4) as their duration, as chain.swap_coefficients
     does: the pulse has period 4 and the reduction is exact, so it is the same
-    operator, and a huge duration does not overflow lambda * t.
+    operator, and a huge duration does not overflow lambda * t. The norm error
+    is the implementation's own rounding, so it is taken over Q's columns
+    evolved by the closed form c + s S_k, one trial and one pulse at a time;
+    test_swap_pulse_matches_the_textbook_pulse pins that form to the eigenbasis.
     """
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
@@ -396,14 +399,19 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
 
     initial = int(rng.integers(4))
     psi = evolve(noise.perturb(ideal, p_noise, rng), frame.vectors[:, initial])
-    evolved = evolve(noise.perturb(ideal, q_noise, rng), frame.vectors[:, :4], lambda t: math.fmod(t, 4.0))
+    q_sequence = noise.perturb(ideal, q_noise, rng)
+    evolved = evolve(q_sequence, frame.vectors[:, :4], lambda t: math.fmod(t, 4.0))
+    closed = frame.vectors[:, :4]
+    for pulse in q_sequence:
+        c, s = chain.swap_coefficients(np.array(pulse.duration))
+        closed = c * closed + s * closed[frame.subspace.bond_swaps[pulse.bond]]
     p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
     defined = not np.abs(overlaps).min() < noise.OVERLAP_FLOOR  # a NaN overlap counts as defined
     phases = np.angle(overlaps)
     diffs = np.abs(phases[:, None] - phases[None, :])
     q_value = float(np.minimum(diffs, 2 * PI - diffs).max()) if defined else math.nan
-    norm_err = float(np.abs(np.linalg.norm(np.column_stack((psi, evolved)), axis=0) - 1.0).max())  # NaN if any norm is
+    norm_err = float(np.abs(np.linalg.norm(np.column_stack((psi, closed)), axis=0) - 1.0).max())  # NaN if any norm is
     return p_value, q_value, defined, norm_err
 
 
@@ -413,16 +421,15 @@ def _same(a, b):
 
 # Q's closed form against the eigenbasis: over trials [17, 0..1999] in both mode
 # pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), the largest |Q - textbook Q|
-# was 1.67e-15, and so was the largest norm-error difference (the norm error
-# takes the max over Q's columns too); the bound on both is 4e-15.
+# was 1.67e-15; the bound is 4e-15.
 TRIAL_BOUND = 4e-15
 
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: P's lambda * t overflows; Q's pulses are identities
 def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
-    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's P and defined bits, and its Q
-    and norm error to TRIAL_BOUND; the chunk and the lone trial agree bit for bit.
+    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's P and defined bits, its norm
+    error to 1e-15 and its Q to TRIAL_BOUND; the chunk and the lone trial agree bit for bit.
 
     At 3e307 every duration is a multiple of 4, so each Q pulse is the identity,
     no target overlap is defined and Q is NaN in both; P overflows in some
@@ -438,7 +445,7 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
             assert all(_same(a, b) for a, b in zip(got, alone))
             assert _same(got[0], want[0]) and got[2] == want[2]
             assert _same(got[1], want[1]) or abs(got[1] - want[1]) <= TRIAL_BOUND
-            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= TRIAL_BOUND
+            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
     if eps == 3e307:
         assert not chunk[2].any() and not np.isfinite(chunk[0]).all()
 
