@@ -162,27 +162,25 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
 
 
 def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to a (dim, n, 1) chunk.
+    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to an (n, dim, 1) stack.
 
     The factors are the bond generator's eigenbasis, V exp(-i lambda t) V^dagger.
-    A 1-D array of n durations evolves trial j, state[:, j, 0], for duration j
-    with the bits it gets alone: np.matmul makes one gemv per trial on the
-    contiguous (n, dim, 1) transposed view, as for a lone vector, where one gemm
-    over the n columns would round a fifth of the entries differently. P's
-    chunk takes this branch; Q's chunk takes swap_pulse.
+    A 1-D array of n durations evolves trial j, state[j], for duration j with
+    the bits it gets alone: np.matmul makes one gemv per trial on the
+    contiguous stack, as for a lone vector, where one gemm over the n columns
+    would round a fifth of the entries differently. P's chunk takes this
+    branch; Q's chunk takes swap_pulse.
     """
     factors = subspace.bond_factors
     if not 0 <= bond < len(factors):
         raise _bond_error(bond, subspace)
     vectors, adjoint, minus_i_values, spread = factors[bond]
     if isinstance(duration, np.ndarray):
-        if duration.ndim != 1 or state.ndim != 3 or state.shape[1:] != (len(duration), 1):
-            raise ValueError(f"{duration.shape} durations do not match a (dim, n, 1) chunk of shape {state.shape}")
-        phases = np.exp(minus_i_values[:, None] * duration)[spread]  # (dim, n)
-        trials = np.ascontiguousarray(state.transpose(1, 0, 2))
-        weights = np.ascontiguousarray(phases.T)[..., None]
+        if duration.ndim != 1 or state.ndim != 3 or state.shape[::2] != (len(duration), 1):
+            raise ValueError(f"{duration.shape} durations do not match an (n, dim, 1) stack of shape {state.shape}")
+        phases = np.exp(minus_i_values * duration[:, None])[:, spread]  # (n, dim)
         # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-        return np.matmul(vectors, np.multiply(weights, np.matmul(adjoint, trials))).transpose(1, 0, 2)
+        return np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, state)))
     # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
     rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
     phases = np.exp(minus_i_values * duration)[spread]

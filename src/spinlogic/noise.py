@@ -28,16 +28,17 @@ perturbed sequence and takes the largest pairwise wrapped difference of the
 four target phases. Trials whose target overlap drops below OVERLAP_FLOOR
 have no defined phase and are excluded from the phase mean but counted.
 
-A sweep runs each point's trials in chunks of at most CHUNK_TRIALS through
-one kernel. Q's chunk evolves by the closed form of each pulse,
-exp(-i V_k t) = c + s S_k with S_k the bond's swap (chain.swap_pulse): an
-elementwise multiply-add on a gather, with no BLAS, whose coefficients are
-computed once per chunk. P keeps the eigenbasis, one gemv per trial
-(chain.apply_bond_pulse), until a re-recorded benchmark reference admits its
-new bits: float64 P at the smallest epsilon is rounding-limited, and the
-closed form moves its fitted amplitude by about 1 %. Every step and every
-reduction is batched in a form that rounds as one trial does, so a trial
-gives the same bits in any chunk.
+A sweep draws each point's trials in chunks of at most CHUNK_TRIALS
+(_draws) and runs the drawn arrays, each trial's initial state and P and Q
+durations, through one kernel (_run_chunk). Q's chunk evolves by the closed
+form of each pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap
+(chain.swap_pulse): an elementwise multiply-add on a gather, with no BLAS,
+whose coefficients are computed once per chunk. P keeps the eigenbasis, one
+gemv per trial on an (n, dim, 1) stack (chain.apply_bond_pulse), until a
+re-recorded benchmark reference admits its new bits: float64 P at the
+smallest epsilon is rounding-limited, and the closed form moves its fitted
+amplitude by about 1 %. Every step and every reduction is batched in a form
+that rounds as one trial does, so a trial gives the same bits in any chunk.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -261,12 +262,12 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
     the phase undefined and the trial must be excluded.
     """
     frame, targets, _ = _lab()
-    values, defined = _phase_errors(targets, gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace)[None])
+    values, defined = _phase_errors(targets, gates.simulate(perturbed, frame.vectors[:, :4], frame.subspace)[..., None])
     return values.item(), defined.item()
 
 
 def _probability_errors(targets: np.ndarray, initial: list[int], psi: np.ndarray) -> np.ndarray:
-    """P of each (dim, 1) block of psi against its initial state's target, rounded as one trial's Python rounds:
+    """P of each (dim, 1) trial psi[j] against its initial state's target, rounded as one trial's Python rounds:
     a 1x1 matmul is BLAS's complex dot, hypot and float_power are libm's (abs of a complex, ** 2 of a float).
     np.abs of a complex array and ** 2 of an array, which multiplies, round differently."""
     overlaps = (targets.T.conj()[initial, None, :] @ psi)[:, 0, 0]
@@ -274,8 +275,8 @@ def _probability_errors(targets: np.ndarray, initial: list[int], psi: np.ndarray
 
 
 def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of each (dim, 4) block of evolved, NaN where the phase is undefined, and whether it is defined."""
-    overlaps = np.einsum("ij,kij->kj", targets.conj(), evolved)
+    """Q of each trial j of a (dim, 4, n) chunk, evolved[..., j], NaN where undefined, and whether it is defined."""
+    overlaps = np.einsum("ij,ijk->kj", targets.conj(), evolved)
     defined = ~(np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR)  # a NaN overlap counts as defined
     # np.angle rather than cmath.phase, which can differ in the last bit; a NaN
     # phase (from an infinite or NaN duration) makes the spread NaN
@@ -285,55 +286,56 @@ def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray,
     return np.where(defined, spreads, math.nan), defined
 
 
-def _draws(p_noise: NoiseModel, q_noise: NoiseModel, rngs: list[np.random.Generator],
-           nominal: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Each trial's initial state and its P and Q pulse durations, drawn in that frozen order from its own generator.
+def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Each trial's initial state and its P and Q pulse durations, drawn from the PCG64 its row of states seeds.
 
-    A trial makes two calls. Its initial index is bits 30 and 31 of its first
-    raw word, which is rng.integers(4): Lemire's method on the word's low 32
-    bits, (low * 4) >> 32, whose buffered high half nothing reads. Then one
-    standard_normal fills the trial's row of P's and then Q's draws, one per
-    pulse or one for all pulses in common mode. Scaled by epsilon once per
-    chunk and added to the nominal durations, that is bit for bit what
-    perturb draws with rng.normal(0, epsilon, n) or rng.normal(0, epsilon).
+    A row is SeedSequence(entropy).generate_state(4, np.uint64), the seed of
+    default_rng(entropy)'s PCG64. A trial makes two calls. Its initial index
+    is bits 30 and 31 of its first raw word, which is rng.integers(4):
+    Lemire's method on the word's low 32 bits, (low * 4) >> 32, whose buffered
+    high half nothing reads. Then one standard_normal fills the trial's row of
+    P's and then Q's draws, one per pulse or one for all pulses in common mode.
+    Scaled by epsilon once per chunk and added to the nominal durations, that
+    is bit for bit what perturb draws with rng.normal(0, epsilon, n) or
+    rng.normal(0, epsilon). The durations are (n, 15) arrays.
     """
+    nominal = np.array([pulse.duration for pulse in _lab()[2]])
     p_width, q_width = (1 if model.mode == "common" else len(nominal) for model in (p_noise, q_noise))
-    rows = np.empty((len(rngs), p_width + q_width))
+    rows = np.empty((len(states), p_width + q_width))
+    trial_seed, generator, pcg64 = _trial_seed_class(), np.random.Generator, np.random.PCG64
     initial = []
-    for rng, row in zip(rngs, rows):
+    for state, row in zip(states, rows):
+        rng = generator(pcg64(trial_seed(state)))
         initial.append(rng.bit_generator.random_raw() >> 30 & 3)
         rng.standard_normal(out=row)
     return (initial, rows[:, :p_width] * p_noise.epsilon + nominal,
             rows[:, p_width:] * q_noise.epsilon + nominal)
 
 
-def _run_chunk(p_noise: NoiseModel, q_noise: NoiseModel,
-               rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """P, Q, whether Q is defined, and the norm error of one trial per generator, evolved together.
+def _run_chunk(initial: list[int], p_durations: np.ndarray,
+               q_durations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P, Q, whether Q is defined, and the norm error of trials j = 0..n-1, evolved together.
 
-    P's chunk is (dim, n, 1), trial j in [:, j], and chain.apply_bond_pulse
-    evolves it with one gemv per trial. Q's chunk is (dim, 4, n), trial j in
-    [..., j], and chain.swap_pulse evolves it in two reused buffers. The
-    reductions take both as contiguous (n, dim, m) stacks. Every step rounds
-    as the lone trial does, so a trial's results do not depend on its chunk;
-    a chunk of one is a lone trial. A NaN or infinite duration gives NaN
-    results, not an error.
+    P evolves logical product initial[j] for durations p_durations[j] in an
+    (n, dim, 1) stack, one gemv per trial (chain.apply_bond_pulse). Q evolves
+    all four products for q_durations[j] in a (dim, 4, n) chunk, trial j in
+    [..., j], by chain.swap_pulse in two reused buffers; the reductions read
+    both as they are. Every step rounds as a lone trial (a chunk of one) does,
+    so no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
-    initial, p_durations, q_durations = _draws(p_noise, q_noise, rngs, np.array([pulse.duration for pulse in ideal]))
     c, s = chain.swap_coefficients(q_durations.T)
     swaps = frame.subspace.bond_swaps
-    psi = frame.vectors[:, initial, None]
-    evolved = np.repeat(frame.vectors[:, :4, None], len(rngs), axis=2)
+    psi = frame.vectors.T[initial, :, None]
+    evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
     gathered = np.empty_like(evolved)
     for k, pulse in enumerate(ideal):
         psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
         chain.swap_pulse(swaps[pulse.bond], c[k], s[k], evolved, gathered)
-    psi, evolved = np.ascontiguousarray(psi.transpose(1, 0, 2)), np.ascontiguousarray(evolved.transpose(2, 0, 1))
-    squared_norms = np.concatenate([(block.conj() * block).real.sum(axis=1) for block in (psi, evolved)], axis=1)
+    squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,
-            np.abs(np.sqrt(squared_norms) - 1.0).max(axis=1))
+            np.abs(np.sqrt(squared_norms) - 1.0).max(axis=0))
 
 
 def sweep(
@@ -365,7 +367,6 @@ def sweep(
     # NoiseModel validates every epsilon and both modes before any trial runs
     models = [(NoiseModel(eps, p_mode), NoiseModel(eps, q_mode)) for eps in eps_grid]
 
-    trial_seed, generator, pcg64 = _trial_seed_class(), np.random.Generator, np.random.PCG64
     points = []
     for eps_index, (p_noise, q_noise) in enumerate(models):
         eps = p_noise.epsilon
@@ -380,11 +381,9 @@ def sweep(
         # warnings are silenced here.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n_runs, CHUNK_TRIALS):
-                stop = min(start + CHUNK_TRIALS, n_runs)
-                rngs = [generator(pcg64(trial_seed(state)))
-                        for state in _substream_states(seed, eps_index, range(start, stop))]
-                trials = slice(start, stop)
-                p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(p_noise, q_noise, rngs)
+                trials = slice(start, min(start + CHUNK_TRIALS, n_runs))
+                draws = _draws(p_noise, q_noise, _substream_states(seed, eps_index, range(n_runs)[trials]))
+                p_vals[trials], q_vals[trials], defined[trials], norm_errs[trials] = _run_chunk(*draws)
 
         kept = q_vals[defined]
         if not (np.isfinite(p_vals).all() and np.isfinite(kept).all()):

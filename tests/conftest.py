@@ -66,9 +66,9 @@ def lone_trial_sweep():
         for i, eps in enumerate(grid):
             p, q, ok, norm = np.empty(n_runs), np.empty(n_runs), np.empty(n_runs, dtype=bool), np.empty(n_runs)
             for j in reversed(range(n_runs)):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-                (p[j],), (q[j],), (ok[j],), (norm[j],) = noise._run_chunk(noise.NoiseModel(eps, p_mode),
-                                                                          noise.NoiseModel(eps, q_mode), [rng])
+                state = np.random.SeedSequence([seed, i, j]).generate_state(4, np.uint64)
+                draws = noise._draws(noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode), state[None])
+                (p[j],), (q[j],), (ok[j],), (norm[j],) = noise._run_chunk(*draws)
             kept = q[ok]
             std_p, std_q = np.std(p, ddof=1), np.std(kept, ddof=1)
             points.append(noise.SweepPoint(eps, n_runs, np.mean(p), std_p, std_p / math.sqrt(n_runs), np.mean(kept),

@@ -201,7 +201,7 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
     # +0.0 and -0.0 scale the spectrum to different signed zeros, and NaN must stay NaN
     durations = np.array([-0.3, 0.5, 3.7, 0.0, -0.0, math.nan])
     n = len(durations)
-    vecs = rng.normal(size=(sub.dim, n)) + 1j * rng.normal(size=(sub.dim, n))
+    vecs = rng.normal(size=(n, sub.dim)) + 1j * rng.normal(size=(n, sub.dim))
     for bond in range(n_spins - 1):
         # the phase table holds each -1j * eigenvalue bit pattern once and spreads it back bit for bit
         _, _, minus_i_values, spread = sub.bond_factors[bond]
@@ -212,10 +212,10 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
             for state in (vec, block):
                 expect = textbook_pulse(bond, t, state, sub)
                 assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect, equal_nan=True)
-        # a (dim, n, 1) chunk with one duration per trial: each trial gets the bits it gets alone
+        # an (n, dim, 1) stack with one duration per trial: each trial gets the bits it gets alone
         chunk_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
         for k, t in enumerate(durations.tolist()):
-            assert np.array_equal(chunk_vecs[:, k, 0], textbook_pulse(bond, t, vecs[:, k].copy(), sub), equal_nan=True)
+            assert np.array_equal(chunk_vecs[k, :, 0], textbook_pulse(bond, t, vecs[k], sub), equal_nan=True)
 
 
 @pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
@@ -288,7 +288,7 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     chain.apply_bond_pulse(2, -0.75, block, sub)
     chunk = np.stack([block, block], axis=2)
     chain.swap_pulse(swaps[3], *chain.swap_coefficients(np.array([0.5, 2.0])), chunk, np.empty_like(chunk))
-    chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec], axis=1)[..., None], sub)
+    chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec])[..., None], sub)
     assert pickle.dumps(vars(sub)) == snapshot
 
 
@@ -301,9 +301,11 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
             chain.apply_bond_pulse(bond, 0.5, psi, sub)
     with pytest.raises(ValueError):
         chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)
-    blocks = np.stack([psi] * 5, axis=1)[:, None, :]
-    # a (dim, n, 1) chunk with one duration per trial; a chunk of m = 5 columns per trial is swap_pulse's
-    for count, chunk in ((2, psi[:, None, None]), (1, psi), (1, psi[:-1, None, None]), (2, blocks), (1, blocks[:-1]),
-                         (1, blocks)):
+    stack = np.stack([psi] * 3)[..., None]
+    # an (n, dim, 1) stack with one duration per trial: wrong n, wrong dim, m = 5 columns per trial (swap_pulse's
+    # chunk), a 2-D state and a 2-D duration array are refused
+    for durations, chunk in ((np.full(2, 0.5), stack), (np.full(3, 0.5), stack[:, :-1]),
+                             (np.full(3, 0.5), np.repeat(stack, 5, axis=2)), (np.full(3, 0.5), stack[..., 0]),
+                             (np.full((3, 1), 0.5), stack)):
         with pytest.raises(ValueError):
-            chain.apply_bond_pulse(0, np.full(count, 0.5), chunk, sub)
+            chain.apply_bond_pulse(0, durations, chunk, sub)

@@ -369,12 +369,17 @@ def test_fit_json_shape():
 # ---------------------------------------------------------------- statistics
 
 
+def _trial_states(*entropies):
+    """The seed rows _draws takes, SeedSequence(entropy).generate_state(4, np.uint64) per trial: a trial then draws
+    what default_rng(entropy) draws, whatever _substream_states computes."""
+    return np.array([np.random.SeedSequence(entropy).generate_state(4, np.uint64) for entropy in entropies])
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_trials_conserve_the_norm(seed):
-    rng = np.random.default_rng(seed)
     common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
-    _, _, _, norm_err = noise._run_chunk(common, independent, [rng])
+    _, _, _, norm_err = noise._run_chunk(*noise._draws(common, independent, _trial_states([seed])))
     assert norm_err.item() < 1e-12
 
 
@@ -415,6 +420,23 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     return p_value, q_value, defined, norm_err
 
 
+def test_the_kernel_follows_the_leading_error_laws_on_chosen_durations():
+    """At d = 1e-3, every pulse lasting 1/2 + d gives the four products a mean P of (41/6) pi^4 d^4 and each a Q of
+    2 pi^3 d^3, and pulse k alone lasting 1/2 + d gives mean P terms that sum over k to 9 pi^2 d^2. These are leading
+    terms: the next orders move the three values by 1.6e-6, 4.9e-6 and 3.3e-6 relative, under the 1e-4 asserted."""
+    d = 1e-3
+    nominal = np.array([pulse.duration for pulse in gates.swap_sequence()])
+    products = [0, 1, 2, 3]
+    common = np.tile(nominal + d, (4, 1))
+    p_values, q_values, defined, _ = noise._run_chunk(products, common, common)
+    assert defined.all()
+    np.testing.assert_allclose(p_values.mean(), 41 / 6 * PI**4 * d**4, rtol=1e-4)
+    np.testing.assert_allclose(q_values, 2 * PI**3 * d**3, rtol=1e-4)
+    kicked = np.repeat(nominal + d * np.eye(15), 4, axis=0)  # trials 4k..4k+3 kick pulse k
+    p_values, _, _, _ = noise._run_chunk(products * 15, kicked, kicked)
+    np.testing.assert_allclose(p_values.reshape(15, 4).mean(axis=1).sum(), 9 * PI**2 * d**2, rtol=1e-4)
+
+
 def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
@@ -437,10 +459,11 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
     """
     p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     with np.errstate(all="ignore"):
-        chunk = noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial]) for trial in range(40)])
+        chunk = noise._run_chunk(*noise._draws(p_noise, q_noise, _trial_states(*([17, trial] for trial in range(40)))))
         for trial in range(40):
             want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
-            alone = tuple(column.item() for column in noise._run_chunk(p_noise, q_noise, [np.random.default_rng([17, trial])]))
+            alone = noise._run_chunk(*noise._draws(p_noise, q_noise, _trial_states([17, trial])))
+            alone = tuple(column.item() for column in alone)
             got = tuple(column[trial].item() for column in chunk)
             assert all(_same(a, b) for a, b in zip(got, alone))
             assert _same(got[0], want[0]) and got[2] == want[2]
@@ -456,7 +479,7 @@ def test_chunk_draws_are_bitwise_numpys_normal(p_mode, q_mode, eps):
     """A chunk's scaled standard_normal rows, once 0.5 is added, are rng.normal(0, eps, 15) or rng.normal(0, eps)."""
     models = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     seeds = range(1000)
-    initial, p_rows, q_rows = noise._draws(*models, [np.random.default_rng([23, s]) for s in seeds], np.full(15, 0.5))
+    initial, p_rows, q_rows = noise._draws(*models, _trial_states(*([23, s] for s in seeds)))
     want_initial, want_p, want_q = [], [], []
     for s in seeds:
         rng = np.random.default_rng([23, s])
@@ -488,8 +511,9 @@ from spinlogic import noise
 # 37 trials: the elementwise loops over a chunk's trials end on a partial SIMD vector
 for n, modes in ((n, modes) for n in (40, 37) for modes in (("common", "independent"), ("independent", "common"))):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
-    chunk = noise._run_chunk(*models, [np.random.default_rng([5, j]) for j in range(n)])
-    alone = [noise._run_chunk(*models, [np.random.default_rng([5, j])]) for j in range(n)]
+    states = np.array([np.random.SeedSequence([5, j]).generate_state(4, np.uint64) for j in range(n)])
+    chunk = noise._run_chunk(*noise._draws(*models, states))
+    alone = [noise._run_chunk(*noise._draws(*models, states[j:j + 1])) for j in range(n)]
     assert all(np.array_equal(column, np.concatenate(values)) for column, values in zip(chunk, zip(*alone))), (n, modes)
 """
 
