@@ -78,11 +78,11 @@ class Subspace:
         and the index that spreads those back over the spectrum.
 
         V and the eigenvalues come from the bond generator's eigendecomposition;
-        these are what apply_bond_pulse multiplies by. Complex C-ordered copies
-        give products bit-identical to the real eigenvectors (numpy casts those
-        the same way); F-ordered copies do not. Eigenvalues are told apart by
-        their bit patterns, so -0.0 and +0.0 stay two, and a pulse takes exp of
-        each distinct value once (eigh gives every bond two).
+        these are what apply_bond_pulse's stacked branch multiplies by. Complex
+        C-ordered copies give products bit-identical to the real eigenvectors
+        (numpy casts those the same way); F-ordered copies do not. Eigenvalues are
+        told apart by their bit patterns, so -0.0 and +0.0 stay two, and a pulse
+        takes exp of each distinct value once (eigh gives every bond two).
         """
         factors = []
         for generator in self.bond_generators:
@@ -103,13 +103,15 @@ class Subspace:
     def bond_swaps(self) -> tuple[np.ndarray, ...]:
         """Per bond, bond 0 first: the index each basis state maps to with spins k and k+1 exchanged, read-only.
 
-        bond_swap_indices restricted to the subspace (a swap keeps the excitation
-        number), so the generator is pi * S_k - pi/2 on the basis here too.
+        The one place the swap's bit formula lives: bits k and k+1 of each pattern
+        trade places, which keeps the excitation number, so the generator is
+        pi * S_k - pi/2 on any sector's basis. evolve gathers by these maps.
         """
         states = np.array(self.states)
         position = np.zeros(1 << self.n_spins, dtype=np.intp)
         position[states] = np.arange(self.dim)
-        maps = tuple(position[swapped[states]] for swapped in bond_swap_indices(self.n_spins))
+        maps = tuple(position[states ^ ((((states >> k) ^ (states >> (k + 1))) & 1) * (3 << k))]
+                     for k in range(self.n_spins - 1))
         for swapped in maps:
             swapped.flags.writeable = False
         return maps
@@ -164,29 +166,26 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
 def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
     """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to an (n, dim, 1) stack.
 
-    The factors are the bond generator's eigenbasis, V exp(-i lambda t) V^dagger.
-    A 1-D array of n durations evolves trial j, state[j], for duration j with
-    the bits it gets alone: np.matmul makes one gemv per trial on the
-    contiguous stack, as for a lone vector, where one gemm over the n columns
-    would round a fifth of the entries differently. P's chunk takes this
-    branch; Q's chunk takes swap_pulse.
+    A plain duration evolves a copy of the state by evolve's closed form. A 1-D
+    array of n durations evolves trial j, state[j], for duration j in the bond
+    generator's eigenbasis, V exp(-i lambda t) V^dagger, with the bits it gets
+    alone: np.matmul makes one gemv per trial, where one gemm over the n columns
+    would round a fifth of the entries differently. Only P's chunk takes this
+    branch, whose bits the benchmark's recorded reference pins.
     """
+    if not isinstance(duration, np.ndarray):
+        psi = np.array(state, dtype=np.complex128)
+        evolve((bond,), (duration,), psi, subspace)
+        return psi
     factors = subspace.bond_factors
     if not 0 <= bond < len(factors):
         raise _bond_error(bond, subspace)
     vectors, adjoint, minus_i_values, spread = factors[bond]
-    if isinstance(duration, np.ndarray):
-        if duration.ndim != 1 or state.ndim != 3 or state.shape[::2] != (len(duration), 1):
-            raise ValueError(f"{duration.shape} durations do not match an (n, dim, 1) stack of shape {state.shape}")
-        phases = np.exp(minus_i_values * duration[:, None])[:, spread]  # (n, dim)
-        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-        return np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, state)))
-    # ndarray.dot has less call overhead than @ on these small arrays, with the same bits
-    rotated = adjoint.dot(np.asarray(state, dtype=np.complex128))
-    phases = np.exp(minus_i_values * duration)[spread]
-    if rotated.ndim == 2:
-        return vectors.dot(phases[:, None] * rotated)
-    return vectors.dot(phases * rotated)
+    if duration.ndim != 1 or state.ndim != 3 or state.shape[::2] != (len(duration), 1):
+        raise ValueError(f"{duration.shape} durations do not match an (n, dim, 1) stack of shape {state.shape}")
+    phases = np.exp(minus_i_values * duration[:, None])[:, spread]  # (n, dim)
+    # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
+    return np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, state)))
 
 
 def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,57 +199,61 @@ def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not depend on its place in the array.
     """
     angle = np.pi * np.fmod(durations, 4.0)
-    cos, sin = np.cos(angle), np.sin(angle)
-    half_cos, half_sin = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    half = 0.5 * angle
+    cos, sin, half_cos, half_sin = np.cos(angle), np.sin(angle), np.cos(half), np.sin(half)
     c, s = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
     c.real, c.imag = half_cos * cos, half_sin * cos
     s.real, s.imag = half_sin * sin, -(half_cos * sin)
     return c, s
 
 
-def swap_pulse(swap: np.ndarray, c: np.ndarray, s: np.ndarray, state: np.ndarray, gathered: np.ndarray) -> None:
-    """One bond pulse on a (dim, ..., n) chunk in place, trial j in state[..., j]: state = c * state + s * state[swap].
+def evolve(bonds, durations, state: np.ndarray, subspace: Subspace) -> None:
+    """Pulse bonds[k] for durations[k], k = 0, 1, ..., in place on a complex (dim, ...) state.
 
-    swap is the bond's Subspace.bond_swaps map, and c and s are the n trials'
-    swap_coefficients. gathered is a scratch array of the state's shape, so a
-    pulse allocates nothing, and no BLAS call is made.
+    Each pulse is state = c * state + s * state[S_k], S_k the bond's bond_swaps map, with c and s
+    the swap_coefficients of all durations, computed once. durations[k] broadcasts against state[0],
+    so a (len(bonds), n) array gives trial j of a (dim, ..., n) chunk, state[..., j], its own. One
+    scratch array serves every pulse and no BLAS is called, so no entry's bits depend on the chunk.
     """
-    np.take(state, swap, axis=0, out=gathered, mode="clip")  # every index is in range; "raise" buffers the output
-    np.multiply(state, c, out=state)
-    np.multiply(gathered, s, out=gathered)
-    np.add(state, gathered, out=state)
+    swaps = subspace.bond_swaps
+    if state.shape[0] != subspace.dim:
+        raise ValueError(f"state dimension {state.shape[0]} does not match sector dimension {subspace.dim}")
+    if bad := [bond for bond in bonds if not 0 <= bond < len(swaps)]:
+        raise _bond_error(bad[0], subspace)
+    c, s = swap_coefficients(durations)
+    gathered = np.empty_like(state)
+    for bond, c_k, s_k in zip(bonds, c, s):
+        # ndarray.take and in-place operators skip np.take's and np.multiply's wrappers; mode="raise" buffers
+        state.take(swaps[bond], axis=0, out=gathered, mode="clip")
+        state *= c_k
+        gathered *= s_k
+        state += gathered
 
 
 @cache
-def bond_swap_indices(n_spins: int) -> tuple[np.ndarray, ...]:
-    """Per bond of an n-spin chain, the index each full-space pattern maps to with bits k and k+1 exchanged.
-
-    Built once per chain length and read-only; Subspace.bond_swaps restricts it to a sector.
-    """
-    index = np.arange(full_space(n_spins).dim)
-    maps = tuple(index ^ ((((index >> k) ^ (index >> (k + 1))) & 1) * (3 << k)) for k in range(n_spins - 1))
-    for swapped in maps:
-        swapped.flags.writeable = False
-    return maps
+def _tensor_swaps(n_spins: int) -> tuple[np.ndarray, ...]:
+    """Per bond k, the full-space index map that swaps axes n-1-k and n-2-k (spins k, k+1) of the (2,)*n basis."""
+    tensor = np.arange(1 << n_spins).reshape((2,) * n_spins)
+    return tuple(tensor.swapaxes(n_spins - 1 - k, n_spins - 2 - k).ravel() for k in range(n_spins - 1))
 
 
 def full_space_oracle(sequence, initial_state: np.ndarray) -> np.ndarray:
     """Evolve a full 2^n state vector through a pulse sequence, no sector shortcut.
 
-    Shares no code with apply_bond_pulse, and with swap_pulse only the swap map: V_k = pi*SWAP_k - pi/2
+    Shares no code with evolve or apply_bond_pulse, not even the swap map: V_k = pi*SWAP_k - pi/2
     and SWAP_k^2 = 1 give exp(-i V_k t) = exp(i*pi*t/2) [cos(pi*t) - i*sin(pi*t) SWAP_k] (DiVincenzo
-    et al., quant-ph/0005116), where SWAP_k exchanges bits k and k+1 of every basis index. The
-    chain length is inferred from the state length, a power of two of at most MAX_FULL_SPINS bits.
+    et al., quant-ph/0005116), with SWAP_k's map from axes (_tensor_swaps), not bits as in bond_swaps.
+    The chain length is inferred from the state length, a power of two of at most MAX_FULL_SPINS bits.
     """
     psi = np.asarray(initial_state, dtype=np.complex128)
     dim = psi.shape[0]
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
-    n_spins = dim.bit_length() - 1
-    swapped = bond_swap_indices(n_spins)
+    space = full_space(dim.bit_length() - 1)
+    swapped = _tensor_swaps(space.n_spins)
     for pulse in sequence:
         if not 0 <= pulse.bond < len(swapped):
-            raise _bond_error(pulse.bond, full_space(n_spins))
+            raise _bond_error(pulse.bond, space)
         angle = math.pi * pulse.duration
         psi = cmath.exp(0.5j * angle) * (math.cos(angle) * psi - 1j * math.sin(angle) * psi[swapped[pulse.bond]])
     return psi

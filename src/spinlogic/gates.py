@@ -129,12 +129,9 @@ def swap_sequence() -> PulseSequence:
 
 
 def simulate(sequence: PulseSequence, state: np.ndarray, subspace: chain.Subspace) -> np.ndarray:
-    """Run a pulse sequence on a sector vector (or column block of vectors)."""
-    psi = np.asarray(state, dtype=np.complex128)
-    if psi.shape[0] != subspace.dim:
-        raise ValueError(f"state dimension {psi.shape[0]} does not match sector dimension {subspace.dim}")
-    for pulse in sequence:
-        psi = chain.apply_bond_pulse(pulse.bond, pulse.duration, psi, subspace)
+    """Run a pulse sequence on a copy of a sector vector (or column block of vectors), by chain.evolve's closed form."""
+    psi = np.array(state, dtype=np.complex128)
+    chain.evolve([pulse.bond for pulse in sequence], [pulse.duration for pulse in sequence], psi, subspace)
     return psi
 
 

@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra for small pulse generators.
 
-Everything downstream evolves states with unitaries exp(-i H t) built from
-exact eigendecompositions of small real-symmetric bond Hamiltonians, so this
-module only has to do three things well: validate Hermiticity, diagonalize,
-and exponentiate. Eigenvalues are always returned in ascending order with
-orthonormal eigenvector columns.
+Pulses evolve by the closed form exp(-i V_k t) = c + s S_k (chain.evolve). Only
+P's stacked sweep pulse (chain.Subspace.bond_factors, kept for its recorded bits)
+and independent references (propagator) diagonalize a small real-symmetric bond
+Hamiltonian, so this module only has to validate Hermiticity, diagonalize and
+exponentiate. Eigenvalues are ascending, with orthonormal eigenvector columns.
 """
 from __future__ import annotations
 

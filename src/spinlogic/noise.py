@@ -32,9 +32,9 @@ A sweep draws each point's trials in chunks of at most CHUNK_TRIALS
 (_draws) and runs the drawn arrays, each trial's initial state and P and Q
 durations, through one kernel (_run_chunk). Q's chunk evolves by the closed
 form of each pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap
-(chain.swap_pulse): an elementwise multiply-add on a gather, with no BLAS,
-whose coefficients are computed once per chunk. P keeps the eigenbasis, one
-gemv per trial on an (n, dim, 1) stack (chain.apply_bond_pulse), until a
+(chain.evolve, as in gates.simulate): an elementwise multiply-add on a gather,
+with no BLAS, whose coefficients are computed once per chunk. P keeps the
+eigenbasis, one gemv per trial on an (n, dim, 1) stack (apply_bond_pulse), until a
 re-recorded benchmark reference admits its new bits: float64 P at the
 smallest epsilon is rounding-limited, and the closed form moves its fitted
 amplitude by about 1 %. Every step and every reduction is batched in a form
@@ -319,19 +319,16 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     P evolves logical product initial[j] for durations p_durations[j] in an
     (n, dim, 1) stack, one gemv per trial (chain.apply_bond_pulse). Q evolves
     all four products for q_durations[j] in a (dim, 4, n) chunk, trial j in
-    [..., j], by chain.swap_pulse in two reused buffers; the reductions read
+    [..., j], by chain.evolve in place; the reductions read
     both as they are. Every step rounds as a lone trial (a chunk of one) does,
     so no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
-    c, s = chain.swap_coefficients(q_durations.T)
-    swaps = frame.subspace.bond_swaps
     psi = frame.vectors.T[initial, :, None]
-    evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
-    gathered = np.empty_like(evolved)
     for k, pulse in enumerate(ideal):
         psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
-        chain.swap_pulse(swaps[pulse.bond], c[k], s[k], evolved, gathered)
+    evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
+    chain.evolve([pulse.bond for pulse in ideal], q_durations.T, evolved, frame.subspace)
     squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,

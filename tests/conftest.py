@@ -26,7 +26,7 @@ def frame_ab():
 def textbook_pulse():
     """exp(-i V_bond t) applied as V exp(-i lambda t) V^dagger, from a fresh eigendecomposition.
 
-    Shares no cache with chain.apply_bond_pulse, which it is the reference for.
+    Shares no cache with chain.apply_bond_pulse or chain.evolve, which it is the reference for.
     Takes a vector or a (dim, m) column block.
     """
     def pulse(bond, t, state, sub):

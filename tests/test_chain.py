@@ -189,10 +189,18 @@ def _space(n_spins, n_excitations):
     return chain.full_space(n_spins) if n_excitations is None else chain.enumerate_subspace(n_spins, n_excitations)
 
 
+# The closed form against the eigenbasis: over seeds 0..199 of N(0, 1) + i N(0, 1)
+# entries on each space and bond, at the five finite durations below, the largest
+# entry difference was 4.4e-15 for apply_bond_pulse on vectors and (dim, 5) blocks,
+# and 3.6e-15 for evolve on (dim, 5, 5) chunks. The bound is 1e-14.
+SWAP_PULSE_BOUND = 1e-14
+
+
 @_SPACES
 def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse):
-    # V exp(-i lambda t) V^dagger psi, from the real eigensystem, exactly as
-    # first written: the cached complex factors must not move a single bit
+    # the stacked branch is V exp(-i lambda t) V^dagger psi, from the real eigensystem,
+    # exactly as first written: the cached complex factors must not move a single bit.
+    # A plain duration takes evolve's closed form, within SWAP_PULSE_BOUND of it.
     n_spins, _ = space
     sub = _space(*space)
     rng = np.random.default_rng(11)
@@ -210,8 +218,11 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
         assert np.array_equal(minus_i_values[spread].view(np.uint64), (-1j * values).view(np.uint64))
         for t in durations.tolist():
             for state in (vec, block):
-                expect = textbook_pulse(bond, t, state, sub)
-                assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), expect, equal_nan=True)
+                got, expect = chain.apply_bond_pulse(bond, t, state, sub), textbook_pulse(bond, t, state, sub)
+                if math.isnan(t):
+                    assert np.isnan(got).all() and np.isnan(expect).all()
+                else:
+                    assert got.shape == state.shape and np.abs(got - expect).max() <= SWAP_PULSE_BOUND
         # an (n, dim, 1) stack with one duration per trial: each trial gets the bits it gets alone
         chunk_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
         for k, t in enumerate(durations.tolist()):
@@ -220,7 +231,7 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
 
 @pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
 def test_bond_generators_are_pi_swap_minus_half_pi(space):
-    # the swap maps restrict bond_swap_indices to the basis; built apart from the generators, they must agree exactly
+    # the swap maps come from the patterns' bits; built apart from the generators, they must agree exactly
     n_spins, _ = space
     sub = _space(*space)
     identity = np.eye(sub.dim)
@@ -232,31 +243,34 @@ def test_bond_generators_are_pi_swap_minus_half_pi(space):
             swap[0] = 0
 
 
-# The closed form against the eigenbasis, per trial: over 200 random (dim, 5, 5)
-# chunks of N(0, 1) + i N(0, 1) entries on each space and bond, at the five finite
-# durations below, the largest entry difference was 3.8e-15; the bound is 1e-14.
-SWAP_PULSE_BOUND = 1e-14
-
-
 @_SPACES
 def test_swap_pulse_matches_the_textbook_pulse(space, textbook_pulse):
+    # chain.evolve, one pulse per trial of a (dim, 5, n) chunk, against the eigenbasis
     n_spins, _ = space
     sub = _space(*space)
     rng = np.random.default_rng(11)
     durations = np.array([-0.3, 0.5, 3.7, 0.0, -0.0, math.nan, math.inf, -math.inf])
     finite = np.isfinite(durations)
     chunk = rng.normal(size=(sub.dim, 5, len(durations))) + 1j * rng.normal(size=(sub.dim, 5, len(durations)))
-    with np.errstate(invalid="ignore"):  # fmod of an infinite duration
-        c, s = chain.swap_coefficients(durations)
     for bond in range(n_spins - 1):
-        state, gathered = chunk.copy(), np.empty_like(chunk)
-        chain.swap_pulse(sub.bond_swaps[bond], c, s, state, gathered)
+        state = chunk.copy()
+        with np.errstate(invalid="ignore"):  # fmod of an infinite duration
+            chain.evolve((bond,), durations[None], state, sub)
         assert np.isnan(state[..., ~finite]).all()
         for k in np.flatnonzero(finite):
             assert np.abs(state[..., k] - textbook_pulse(bond, durations[k], chunk[..., k], sub)).max() <= SWAP_PULSE_BOUND
             alone = chunk[..., k:k + 1].copy()
-            chain.swap_pulse(sub.bond_swaps[bond], c[k:k + 1], s[k:k + 1], alone, np.empty_like(alone))
+            chain.evolve((bond,), durations[None, k:k + 1], alone, sub)
             assert np.array_equal(alone[..., 0], state[..., k])  # a trial pulsed alone gets the chunk's bits
+    # a sequence runs its pulses in order, each with its own row of durations: the
+    # whole sequence in one call gives the bits of one call per pulse
+    bonds = [n_spins - 2, 0, 1, 0, n_spins - 2]
+    steps = rng.uniform(-2, 2, size=(len(bonds), 5))
+    together, one_by_one = chunk[..., :5].copy(), chunk[..., :5].copy()
+    chain.evolve(bonds, steps, together, sub)
+    for bond, row in zip(bonds, steps):
+        chain.evolve([bond], row[None], one_by_one, sub)
+    assert np.array_equal(together, one_by_one)
     # the pulse has period 4 and a duration enters as fmod(t, 4), exactly: a float
     # as large as 3e307 is a multiple of 4, so its pulse is the identity, not NaN
     c, s = chain.swap_coefficients(np.array([3e307, -3e307, 4.5, 0.5]))
@@ -264,11 +278,31 @@ def test_swap_pulse_matches_the_textbook_pulse(space, textbook_pulse):
     assert c[2] == c[3] and s[2] == s[3]
 
 
+@pytest.mark.parametrize("n_spins", [9, 10])
+def test_pulses_on_sectors_past_the_full_space_cap_match_the_textbook_pulse(n_spins, textbook_pulse):
+    # the swap maps do not go through full_space, so every sector enumerate_subspace admits can be pulsed
+    sub = chain.enumerate_subspace(n_spins, 2)
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
+    for bond in range(n_spins - 1):
+        for t in (-0.3, 0.5, 3.7):
+            got = chain.apply_bond_pulse(bond, t, vec, sub)
+            assert np.abs(got - textbook_pulse(bond, t, vec, sub)).max() <= SWAP_PULSE_BOUND
+    # each pulse is unitary, so the per-pulse differences add up at most
+    sequence = PulseSequence("walk", tuple(Pulse(k, 0.5 + 0.1 * k) for k in range(n_spins - 1)))
+    expect = vec
+    for pulse in sequence:
+        expect = textbook_pulse(pulse.bond, pulse.duration, expect, sub)
+    assert np.abs(gates.simulate(sequence, vec, sub) - expect).max() <= (n_spins - 1) * SWAP_PULSE_BOUND
+    with pytest.raises(ValueError, match="capped at 8 spins"):
+        chain.full_space(n_spins)
+
+
 def test_shared_structure_is_read_only():
     sub = chain.enumerate_subspace(6, 2)
     assert chain.bond_generator(2, sub) is sub.bond_generators[2]
     assert np.array_equal(sub.bond_generators[2], chain.build_bond_hamiltonian(2, sub))
-    for shared in (*sub.bond_generators, *chain.bond_swap_indices(6)):
+    for shared in (*sub.bond_generators, *sub.bond_swaps):
         with pytest.raises(ValueError, match="read-only"):
             shared[0, ...] = 0
     with pytest.raises(ValueError, match="bond"):
@@ -281,13 +315,11 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     rng = np.random.default_rng(5)
     vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     block = rng.normal(size=(sub.dim, 4)) + 1j * rng.normal(size=(sub.dim, 4))
-    chain.apply_bond_pulse(0, 0.5, vec, sub)  # builds the cached factors
-    swaps = sub.bond_swaps  # and the swap maps
+    sub.bond_factors, sub.bond_swaps  # builds the cached factors and swap maps
     snapshot = pickle.dumps(vars(sub))
     chain.apply_bond_pulse(1, 1.25, vec, sub)
     chain.apply_bond_pulse(2, -0.75, block, sub)
-    chunk = np.stack([block, block], axis=2)
-    chain.swap_pulse(swaps[3], *chain.swap_coefficients(np.array([0.5, 2.0])), chunk, np.empty_like(chunk))
+    chain.evolve([3, 0], np.array([[0.5, 2.0], [1.5, -0.25]]), np.stack([block, block], axis=2), sub)
     chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec])[..., None], sub)
     assert pickle.dumps(vars(sub)) == snapshot
 
@@ -302,7 +334,7 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
     with pytest.raises(ValueError):
         chain.apply_bond_pulse(0, 0.5, psi[:-1], sub)
     stack = np.stack([psi] * 3)[..., None]
-    # an (n, dim, 1) stack with one duration per trial: wrong n, wrong dim, m = 5 columns per trial (swap_pulse's
+    # an (n, dim, 1) stack with one duration per trial: wrong n, wrong dim, m = 5 columns per trial (Q's
     # chunk), a 2-D state and a 2-D duration array are refused
     for durations, chunk in ((np.full(2, 0.5), stack), (np.full(3, 0.5), stack[:, :-1]),
                              (np.full(3, 0.5), np.repeat(stack, 5, axis=2)), (np.full(3, 0.5), stack[..., 0]),

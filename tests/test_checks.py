@@ -24,19 +24,36 @@ def test_running_every_check_prints_nothing(capsys):
 
 
 def test_a_registry_evolves_the_swap_once(monkeypatch):
-    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 1 spin-swap + 5 cycle pulses, then 15 for all three swap checks
-    kernel, calls = chain.apply_bond_pulse, []
-    monkeypatch.setattr(chain, "apply_bond_pulse", lambda *args: calls.append(args) or kernel(*args))
+    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 1 spin-swap + 5 cycle pulses, then 15 for all three swap checks;
+    # every pulse, apply_bond_pulse's too, goes through chain.evolve
+    kernel, calls = chain.evolve, []
+    monkeypatch.setattr(chain, "evolve", lambda bonds, *args: calls.append(list(bonds)) or kernel(bonds, *args))
     for check in checks.registry().values():
         check.run()
-    assert len(calls) == 46
+    assert sum(map(len, calls)) == 46
+    assert [bonds for bonds in calls if len(bonds) == 15] == [[pulse.bond for pulse in gates.swap_sequence()]]
 
 
 def wrong_kernel(monkeypatch):
     """A sector kernel that runs bond 2 backwards; only an independent oracle notices."""
-    kernel = chain.apply_bond_pulse
-    monkeypatch.setattr(chain, "apply_bond_pulse",
-                        lambda bond, t, state, sub: kernel(bond, -t if bond == 2 else t, state, sub))
+    kernel = chain.evolve
+    monkeypatch.setattr(chain, "evolve", lambda bonds, durations, state, sub: kernel(
+        bonds, [-t if bond == 2 else t for bond, t in zip(bonds, durations)], state, sub))
+
+
+def wrong_swap_map(monkeypatch):
+    """Every subspace's bond-2 swap map exchanges spins 2 and 4, as a wrong bit formula would: the sector kernel reads
+    it, and only an oracle that builds its own swap notices (one reading any Subspace's maps would agree)."""
+    right = chain.Subspace.bond_swaps.func
+
+    def swaps(sub):
+        maps = right(sub)
+        if sub.n_spins < 5:
+            return maps
+        wrong = [sub.index_of(p ^ (((p >> 2) ^ (p >> 4)) & 1) * 0b10100) for p in sub.states]
+        return (*maps[:2], np.array(wrong), *maps[3:])
+
+    monkeypatch.setattr(chain.Subspace, "bond_swaps", property(swaps))
 
 
 def leaky_oracle(monkeypatch):
@@ -67,6 +84,7 @@ def broken_sequence(monkeypatch, builder, broken):
         ("logical-projection", lambda mp: mp.setattr(gates, "OMEGA", -math.sqrt(2) * math.pi)),
         ("flip-phase-condition", lambda mp: mp.setattr(gates, "T4", gates.T4 + 0.01)),
         ("full-space-oracle", wrong_kernel),
+        ("full-space-oracle", wrong_swap_map),
         ("full-space-oracle", leaky_oracle),
         ("cycle-permutation", lambda mp: broken_sequence(
             mp, "cycle_sequence", lambda p: p[:2] + (Pulse(p[2].bond, 0.4, p[2].tag),) + p[3:])),
@@ -74,7 +92,8 @@ def broken_sequence(monkeypatch, builder, broken):
     ],
     ids=["hadamard-T6", "phase-gate-phase", "spin-swap-phase", "swap-one-pulse-dropped",
          "swap-phase-one-pulse-dropped", "omega", "flip-T4",
-         "oracle-wrong-kernel", "oracle-leak", "cycle-one-pulse-at-0.4", "cycle-one-pulse-dropped"],
+         "oracle-wrong-kernel", "oracle-wrong-swap-map", "oracle-leak", "cycle-one-pulse-at-0.4",
+         "cycle-one-pulse-dropped"],
 )
 def test_a_fault_pushes_the_check_above_its_tolerance(capsys, monkeypatch, name, fault):
     fault(monkeypatch)

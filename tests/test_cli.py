@@ -109,13 +109,16 @@ def test_verify_fails_with_corrupted_timing(capsys):
     assert "flip" in out
 
 
-def test_an_overflowing_corrupt_t2_fails_both_flip_checks_with_nan_and_no_warnings(capsys):
+def test_a_huge_corrupt_t2_fails_both_flip_checks_as_zero_does_with_no_warnings(capsys):
+    # a pulse has period 4 and a duration enters as fmod(t, 4), which is exact: 1e308 is a multiple of 4
     assert run_cli("verify", "--corrupt-t2", "1e308") == 1
     captured = capsys.readouterr()
     verdicts = {words[1]: words for words in map(str.split, captured.out.splitlines()) if words[0] in ("PASS", "FAIL")}
     for name in ("flip-annihilation", "flip-gate"):
-        assert verdicts[name][0] == "FAIL" and verdicts[name][4] == "nan"
+        assert verdicts[name][0] == "FAIL"
     assert captured.err == ""
+    assert run_cli("verify", "--corrupt-t2", "0") == 1
+    assert capsys.readouterr() == (captured.out, "")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
