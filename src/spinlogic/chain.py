@@ -22,6 +22,7 @@ swapping bits k and k+1.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -73,28 +74,32 @@ class Subspace:
         return generators
 
     @cached_property
-    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, -1j * each distinct eigenvalue,
-        and the index that spreads those back over the spectrum.
+    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
+        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, and the bond's spectrum: -1j * each
+        distinct eigenvalue, and the index that spreads those back over the eigenvalues.
 
         V and the eigenvalues come from the bond generator's eigendecomposition;
-        these are what apply_bond_pulse's stacked branch multiplies by. Complex
-        C-ordered copies give products bit-identical to the real eigenvectors
-        (numpy casts those the same way); F-ordered copies do not. Eigenvalues are
-        told apart by their bit patterns, so -0.0 and +0.0 stay two, and a pulse
-        takes exp of each distinct value once (eigh gives every bond two).
+        these are what evolve_eigenbasis multiplies by. Complex C-ordered copies
+        give products bit-identical to the real eigenvectors (numpy casts those
+        the same way); F-ordered copies do not. Eigenvalues are told apart by their
+        bit patterns, so -0.0 and +0.0 stay two, and a pulse takes exp of each
+        distinct value once (eigh gives every bond two). Bonds whose spectra agree
+        bit for bit, values and spread, share one spectrum tuple, whose identity
+        tells evolve_eigenbasis it may reuse phases. Each bond's -3 pi/2 comes
+        once per pair of states its swap exchanges, C(n-2, e-1) on every bond of
+        a sector, so in practice a subspace has one spectrum.
         """
-        factors = []
+        factors, spectra = [], {}
         for generator in self.bond_generators:
             values, vectors = linalg.eig_hermitian(generator)
-            # ravel: np.unique's inverse took the input's shape in some numpy 2.0.x releases
             bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+            inverse = inverse.ravel()  # np.unique's inverse took the input's shape in some numpy 2.0.x releases
+            spectrum = spectra.setdefault((bits.tobytes(), inverse.tobytes()), (-1j * bits.view(np.float64), inverse))
             factors.append(
                 (
                     np.ascontiguousarray(vectors, dtype=np.complex128),
                     np.ascontiguousarray(vectors.conj().T, dtype=np.complex128),
-                    -1j * bits.view(np.float64),
-                    inverse.ravel(),
+                    spectrum,
                 )
             )
         return tuple(factors)
@@ -163,29 +168,42 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
     return generators[bond]
 
 
-def apply_bond_pulse(bond: int, duration: float | np.ndarray, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a vector or a (dim, m) column block, or per duration to an (n, dim, 1) stack.
+def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """exp(-i V_bond t) applied to a copy of a vector or a (dim, m) column block, by evolve's closed form."""
+    psi = np.array(state, dtype=np.complex128)
+    evolve((bond,), (duration,), psi, subspace)
+    return psi
 
-    A plain duration evolves a copy of the state by evolve's closed form. A 1-D
-    array of n durations evolves trial j, state[j], for duration j in the bond
-    generator's eigenbasis, V exp(-i lambda t) V^dagger, with the bits it gets
-    alone: np.matmul makes one gemv per trial, where one gemm over the n columns
-    would round a fifth of the entries differently. Only P's chunk takes this
-    branch, whose bits the benchmark's recorded reference pins.
+
+def evolve_eigenbasis(bonds, durations: np.ndarray, stack: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """Pulse bonds[k] for durations[k], k = 0, 1, ..., on an (n, dim, 1) stack, trial j in stack[j], and return it.
+
+    Each pulse is V exp(-i lambda t) V^dagger in the bond generator's eigenbasis
+    (bond_factors), with the bits trial j gets alone: np.matmul makes one gemv
+    per trial, where one gemm over the n columns would round a fifth of the
+    entries differently. durations is a 2-D array of one row of n durations per
+    bond, or of one row that every bond shares. A shared row's phases
+    exp(-i lambda t) are computed once and reused while the next bond's spectrum
+    is the same object, which gives each pulse the bits it would compute itself.
+    Only P's chunk runs this, whose bits the benchmark's recorded reference pins.
     """
-    if not isinstance(duration, np.ndarray):
-        psi = np.array(state, dtype=np.complex128)
-        evolve((bond,), (duration,), psi, subspace)
-        return psi
     factors = subspace.bond_factors
-    if not 0 <= bond < len(factors):
-        raise _bond_error(bond, subspace)
-    vectors, adjoint, minus_i_values, spread = factors[bond]
-    if duration.ndim != 1 or state.ndim != 3 or state.shape[::2] != (len(duration), 1):
-        raise ValueError(f"{duration.shape} durations do not match an (n, dim, 1) stack of shape {state.shape}")
-    phases = np.exp(minus_i_values * duration[:, None])[:, spread]  # (n, dim)
-    # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-    return np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, state)))
+    if bad := [bond for bond in bonds if not 0 <= bond < len(factors)]:
+        raise _bond_error(bad[0], subspace)
+    if durations.ndim != 2 or len(durations) not in (1, len(bonds)) or stack.ndim != 3 \
+            or stack.shape[::2] != (durations.shape[1], 1):
+        raise ValueError(f"{durations.shape} durations do not match {len(bonds)} bonds "
+                         f"and an (n, dim, 1) stack of shape {stack.shape}")
+    shared, spectrum = len(durations) == 1, None
+    for k, bond in enumerate(bonds):
+        vectors, adjoint, bond_spectrum = factors[bond]
+        if not (shared and bond_spectrum is spectrum):
+            spectrum = bond_spectrum
+            minus_i_values, spread = spectrum
+            phases = np.exp(minus_i_values * durations[0 if shared else k, :, None])[:, spread]  # (n, dim)
+        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
+        stack = np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, stack)))
+    return stack
 
 
 def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +230,9 @@ def evolve(bonds, durations, state: np.ndarray, subspace: Subspace) -> None:
 
     Each pulse is state = c * state + s * state[S_k], S_k the bond's bond_swaps map, with c and s
     the swap_coefficients of all durations, computed once. durations[k] broadcasts against state[0],
-    so a (len(bonds), n) array gives trial j of a (dim, ..., n) chunk, state[..., j], its own. One
+    so a (len(bonds), n) array gives trial j of a (dim, ..., n) chunk, state[..., j], its own. A
+    durations of one entry is every bond's: its coefficients are computed once and serve every
+    pulse, so a (1, n) row gives trial j one duration for all pulses (common-mode draws). One
     scratch array serves every pulse and no BLAS is called, so no entry's bits depend on the chunk.
     """
     swaps = subspace.bond_swaps
@@ -220,7 +240,11 @@ def evolve(bonds, durations, state: np.ndarray, subspace: Subspace) -> None:
         raise ValueError(f"state dimension {state.shape[0]} does not match sector dimension {subspace.dim}")
     if bad := [bond for bond in bonds if not 0 <= bond < len(swaps)]:
         raise _bond_error(bad[0], subspace)
+    if len(durations) not in (1, len(bonds)):
+        raise ValueError(f"{len(durations)} durations for {len(bonds)} bonds")
     c, s = swap_coefficients(durations)
+    if len(c) == 1:
+        c, s = itertools.repeat(c[0]), itertools.repeat(s[0])
     gathered = np.empty_like(state)
     for bond, c_k, s_k in zip(bonds, c, s):
         # ndarray.take and in-place operators skip np.take's and np.multiply's wrappers; mode="raise" buffers

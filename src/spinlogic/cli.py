@@ -30,6 +30,8 @@ SEED_ENV_VAR = "SPINLOGIC_SEED"
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+# simulate prints no phase for an amplitude below this modulus: its angle would be that of round-off residue
+PHASE_MODULUS_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------- verify
@@ -95,8 +97,12 @@ def cmd_simulate(args) -> int:
     print(f"sequence: {sequence.product_string()}")
     unit = "deg" if args.degrees else "rad"
     for label, amp in zip(frame.labels, out):
-        phase = math.degrees(cmath.phase(amp)) if args.degrees else cmath.phase(amp)
-        print(f"  |{label}>  {amp.real:+.12f}{amp.imag:+.12f}i   |amp| {abs(amp):.12f}  phase {phase:+.12f} {unit}")
+        if abs(amp) < PHASE_MODULUS_FLOOR:
+            phase = "undefined"
+        else:
+            angle = math.degrees(cmath.phase(amp)) if args.degrees else cmath.phase(amp)
+            phase = f"{angle:+.12f} {unit}"
+        print(f"  |{label}>  {amp.real:+.12f}{amp.imag:+.12f}i   |amp| {abs(amp):.12f}  phase {phase}")
     print(f"leakage off the logical span: {leakage:.3e}")
     print(f"analytic global phase: {gates.global_phase(args.gate, theta):.17g} rad")
     return EXIT_OK

@@ -33,12 +33,16 @@ A sweep draws each point's trials in chunks of at most CHUNK_TRIALS
 durations, through one kernel (_run_chunk). Q's chunk evolves by the closed
 form of each pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap
 (chain.evolve, as in gates.simulate): an elementwise multiply-add on a gather,
-with no BLAS, whose coefficients are computed once per chunk. P keeps the
-eigenbasis, one gemv per trial on an (n, dim, 1) stack (apply_bond_pulse), until a
-re-recorded benchmark reference admits its new bits: float64 P at the
-smallest epsilon is rounding-limited, and the closed form moves its fitted
-amplitude by about 1 %. Every step and every reduction is batched in a form
-that rounds as one trial does, so a trial gives the same bits in any chunk.
+with no BLAS. P keeps the eigenbasis, one gemv per trial and pulse on an
+(n, dim, 1) stack (chain.evolve_eigenbasis), until a re-recorded benchmark
+reference admits its new bits: float64 P at the smallest epsilon is
+rounding-limited, and the closed form moves its fitted amplitude by about
+1 %. A channel in common mode draws one (n, 1) column of durations that every
+pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) while the
+bonds share one spectrum object (as every bond of a sector does), are computed
+once per chunk instead of once per pulse. Every step and every reduction is
+batched in a form that rounds as one trial does, so a trial gives the same
+bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -164,7 +168,7 @@ def _trial_seed_class():
             self.state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):  # is: skips np.dtype's call
                 raise ValueError(f"a trial seed holds generate_state(4, np.uint64) only, got ({n_words}, {dtype})")
             return self.state
 
@@ -200,9 +204,9 @@ def _substream_states(seed: int, eps_index: int, trials: range) -> np.ndarray:
     while start < trials.stop:  # j's word count is constant between powers of 2**32
         n_words = len(_uint32_words(start))
         stop = min(trials.stop, 1 << 32 * n_words)
-        block = range(start, stop)
+        block = np.arange(start, stop, dtype=np.uint64)  # trial indices index arrays, so they are below 2**64
         entropy = ([np.full(len(block), word, dtype=np.uint32) for word in prefix]
-                   + [np.array([j >> 32 * k & _MASK32 for j in block], dtype=np.uint32) for k in range(n_words)])
+                   + [(block >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)])
         states[row:row + len(block)] = _generate_state(_mix_entropy(entropy))
         row, start = row + len(block), stop
     return states
@@ -295,12 +299,16 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tupl
     Lemire's method on the word's low 32 bits, (low * 4) >> 32, whose buffered
     high half nothing reads. Then one standard_normal fills the trial's row of
     P's and then Q's draws, one per pulse or one for all pulses in common mode.
-    Scaled by epsilon once per chunk and added to the nominal durations, that
-    is bit for bit what perturb draws with rng.normal(0, epsilon, n) or
-    rng.normal(0, epsilon). The durations are (n, 15) arrays.
+    Scaled by epsilon once per chunk and added to the nominal 1/2, that is bit
+    for bit what perturb draws with rng.normal(0, epsilon, n) or
+    rng.normal(0, epsilon). The durations are (n, 15) arrays, one column per
+    pulse, and in common mode one (n, 1) column that every pulse shares: every
+    swap pulse nominally lasts 1/2, so the column is each of the trial's
+    durations, and its shape tells the kernel so without comparing columns.
     """
-    nominal = np.array([pulse.duration for pulse in _lab()[2]])
-    p_width, q_width = (1 if model.mode == "common" else len(nominal) for model in (p_noise, q_noise))
+    ideal = _lab()[2]
+    (nominal,) = {pulse.duration for pulse in ideal}
+    p_width, q_width = (1 if model.mode == "common" else len(ideal) for model in (p_noise, q_noise))
     rows = np.empty((len(states), p_width + q_width))
     trial_seed, generator, pcg64 = _trial_seed_class(), np.random.Generator, np.random.PCG64
     initial = []
@@ -317,18 +325,20 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     """P, Q, whether Q is defined, and the norm error of trials j = 0..n-1, evolved together.
 
     P evolves logical product initial[j] for durations p_durations[j] in an
-    (n, dim, 1) stack, one gemv per trial (chain.apply_bond_pulse). Q evolves
+    (n, dim, 1) stack, one gemv per trial (chain.evolve_eigenbasis). Q evolves
     all four products for q_durations[j] in a (dim, 4, n) chunk, trial j in
-    [..., j], by chain.evolve in place; the reductions read
-    both as they are. Every step rounds as a lone trial (a chunk of one) does,
-    so no result depends on the chunk. NaN or infinite durations give NaN.
+    [..., j], by chain.evolve in place; the reductions read both as they are.
+    Each durations array has one column per pulse, or one column that every
+    pulse shares (common mode, as _draws gives it): then P's phases and Q's
+    coefficients are computed once per chunk instead of once per pulse, the
+    same bits. Every step rounds as a lone trial (a chunk of one) does, so no
+    result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
-    psi = frame.vectors.T[initial, :, None]
-    for k, pulse in enumerate(ideal):
-        psi = chain.apply_bond_pulse(pulse.bond, p_durations[:, k], psi, frame.subspace)
+    bonds = [pulse.bond for pulse in ideal]
+    psi = chain.evolve_eigenbasis(bonds, p_durations.T, frame.vectors.T[initial, :, None], frame.subspace)
     evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
-    chain.evolve([pulse.bond for pulse in ideal], q_durations.T, evolved, frame.subspace)
+    chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
     squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,

@@ -198,7 +198,7 @@ SWAP_PULSE_BOUND = 1e-14
 
 @_SPACES
 def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse):
-    # the stacked branch is V exp(-i lambda t) V^dagger psi, from the real eigensystem,
+    # evolve_eigenbasis is V exp(-i lambda t) V^dagger psi, from the real eigensystem,
     # exactly as first written: the cached complex factors must not move a single bit.
     # A plain duration takes evolve's closed form, within SWAP_PULSE_BOUND of it.
     n_spins, _ = space
@@ -212,7 +212,7 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
     vecs = rng.normal(size=(n, sub.dim)) + 1j * rng.normal(size=(n, sub.dim))
     for bond in range(n_spins - 1):
         # the phase table holds each -1j * eigenvalue bit pattern once and spreads it back bit for bit
-        _, _, minus_i_values, spread = sub.bond_factors[bond]
+        _, _, (minus_i_values, spread) = sub.bond_factors[bond]
         values, _ = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
         assert len({value.tobytes() for value in minus_i_values}) == minus_i_values.size
         assert np.array_equal(minus_i_values[spread].view(np.uint64), (-1j * values).view(np.uint64))
@@ -224,9 +224,43 @@ def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse)
                 else:
                     assert got.shape == state.shape and np.abs(got - expect).max() <= SWAP_PULSE_BOUND
         # an (n, dim, 1) stack with one duration per trial: each trial gets the bits it gets alone
-        chunk_vecs = chain.apply_bond_pulse(bond, durations, vecs[..., None], sub)
+        chunk_vecs = chain.evolve_eigenbasis((bond,), durations[None], vecs[..., None], sub)
         for k, t in enumerate(durations.tolist()):
             assert np.array_equal(chunk_vecs[k, :, 0], textbook_pulse(bond, t, vecs[k], sub), equal_nan=True)
+
+
+@_SPACES
+def test_every_bond_shares_one_spectrum_bitwise(space):
+    # the premise of evolve_eigenbasis' phase reuse: each bond's eigenvalues agree bit for bit, values and
+    # spread, so bond_factors hands every bond one spectrum object
+    sub = _space(*space)
+    spectra = {id(spectrum): spectrum for _, _, spectrum in sub.bond_factors}
+    assert len(spectra) == 1
+    ((minus_i_values, spread),) = spectra.values()
+    values = (1j * minus_i_values).real  # ordered by bit pattern: pi/2, then -3 pi/2 (sign bit set)
+    np.testing.assert_allclose(values, [PI / 2, -1.5 * PI], rtol=1e-15)
+    # eigh's ascending order: -3 pi/2 once per pair of states the swap exchanges, then pi/2
+    n_spins, n_excitations = space
+    pairs = 2 ** (n_spins - 2) if n_excitations is None else math.comb(n_spins - 2, n_excitations - 1)
+    assert np.array_equal(spread, [1] * pairs + [0] * (sub.dim - pairs))
+
+
+def test_phases_are_reused_only_between_bonds_that_share_a_spectrum_bitwise():
+    # bond 2 gets a spectrum of its own, scaled so its phases differ: a shared row must then compute bond 2's
+    # phases and, after it, bond 3's again, giving the bits of one row per pulse and not those of the true spectrum
+    sub = chain.enumerate_subspace(6, 2)
+    apart = chain.Subspace(sub.n_spins, sub.n_excitations, sub.states)  # not the cached instance: its own factors
+    factors = list(sub.bond_factors)
+    vectors, adjoint, (minus_i_values, spread) = factors[2]
+    factors[2] = (vectors, adjoint, (minus_i_values * 1.001, spread))
+    apart.__dict__["bond_factors"] = tuple(factors)
+    bonds = [pulse.bond for pulse in gates.swap_sequence()]
+    rng = np.random.default_rng(31)
+    durations = 0.5 + 1e-2 * rng.normal(size=(1, 37))
+    stack = sub.dim ** -0.5 * np.ones((37, sub.dim, 1), dtype=np.complex128)
+    shared = chain.evolve_eigenbasis(bonds, durations, stack, apart)
+    assert np.array_equal(shared, chain.evolve_eigenbasis(bonds, np.repeat(durations, len(bonds), axis=0), stack, apart))
+    assert not np.array_equal(shared, chain.evolve_eigenbasis(bonds, durations, stack, sub))
 
 
 @pytest.mark.parametrize("space", [(6, 2), (6, 3), (6, None)], ids=["sector-6-2", "sector-6-3", "full-64"])
@@ -320,7 +354,7 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     chain.apply_bond_pulse(1, 1.25, vec, sub)
     chain.apply_bond_pulse(2, -0.75, block, sub)
     chain.evolve([3, 0], np.array([[0.5, 2.0], [1.5, -0.25]]), np.stack([block, block], axis=2), sub)
-    chain.apply_bond_pulse(4, np.array([0.5, 2.0]), np.stack([vec, vec])[..., None], sub)
+    chain.evolve_eigenbasis([4, 1], np.array([[0.5, 2.0]]), np.stack([vec, vec])[..., None], sub)
     assert pickle.dumps(vars(sub)) == snapshot
 
 
@@ -340,4 +374,11 @@ def test_apply_bond_pulse_rejects_bad_bonds_and_lengths():
                              (np.full(3, 0.5), np.repeat(stack, 5, axis=2)), (np.full(3, 0.5), stack[..., 0]),
                              (np.full((3, 1), 0.5), stack)):
         with pytest.raises(ValueError):
-            chain.apply_bond_pulse(0, durations, chunk, sub)
+            chain.evolve_eigenbasis((0,), durations[None], chunk, sub)
+    # a bond out of range, and a number of duration rows neither 1 nor one per bond, are refused by both kernels
+    with pytest.raises(ValueError, match="bond"):
+        chain.evolve_eigenbasis((0, 5), np.full((1, 3), 0.5), stack, sub)
+    with pytest.raises(ValueError, match="durations"):
+        chain.evolve_eigenbasis((0, 1, 2), np.full((2, 3), 0.5), stack, sub)
+    with pytest.raises(ValueError, match="durations"):
+        chain.evolve((0, 1, 2), np.full((2, 3), 0.5), np.ones((sub.dim, 3), dtype=np.complex128), sub)

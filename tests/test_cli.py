@@ -147,6 +147,19 @@ def test_simulate_swap_takes_four_amplitudes(capsys):
     assert "|10>" in out
 
 
+@pytest.mark.parametrize(("argv", "zero_labels", "label", "phase"), [
+    (["--gate", "F", "--state", "1,0", "0,0"], ["0"], "1", gates.FLIP_PHASE),
+    (["--gate", "SWAP", "--state", "0,0", "1,0", "0,0", "0,0"], ["00", "01", "11"], "10", math.pi / 4),
+], ids=["flip", "swap"])
+def test_simulate_prints_no_phase_for_round_off_amplitudes(capsys, argv, zero_labels, label, phase):
+    """Amplitudes below PHASE_MODULUS_FLOOR print their modulus and no phase; the others keep their phase."""
+    assert run_cli("simulate", *argv) == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.startswith("  |")}
+    for zero in zero_labels:
+        assert rows[f"|{zero}>"].endswith("|amp| 0.000000000000  phase undefined")
+    assert rows[f"|{label}>"].endswith(f"|amp| 1.000000000000  phase {phase:+.12f} rad")
+
+
 def test_simulate_phase_gate_in_degrees(capsys):
     assert run_cli("simulate", "--gate", "P", "--theta", "90", "--degrees",
                    "--state", "0,0", "1,0") == 0

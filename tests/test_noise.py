@@ -476,7 +476,8 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 3e307])
 def test_chunk_draws_are_bitwise_numpys_normal(p_mode, q_mode, eps):
-    """A chunk's scaled standard_normal rows, once 0.5 is added, are rng.normal(0, eps, 15) or rng.normal(0, eps)."""
+    """A chunk's scaled standard_normal rows, once 0.5 is added, are rng.normal(0, eps, 15) or, as one column that
+    every pulse shares, rng.normal(0, eps)."""
     models = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     seeds = range(1000)
     initial, p_rows, q_rows = noise._draws(*models, _trial_states(*([23, s] for s in seeds)))
@@ -485,10 +486,25 @@ def test_chunk_draws_are_bitwise_numpys_normal(p_mode, q_mode, eps):
         rng = np.random.default_rng([23, s])
         want_initial.append(int(rng.integers(4)))
         for mode, rows in ((p_mode, want_p), (q_mode, want_q)):
-            rows.append(rng.normal(0.0, eps, 15) if mode == "independent" else np.full(15, rng.normal(0.0, eps)))
+            rows.append(rng.normal(0.0, eps, 15) if mode == "independent" else [rng.normal(0.0, eps)])
     assert initial == want_initial
     assert np.array_equal(p_rows, np.array(want_p) + 0.5)
     assert np.array_equal(q_rows, np.array(want_q) + 0.5)
+
+
+@pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common"),
+                                             ("common", "common")])
+@pytest.mark.parametrize("n", [1, 37, 256])
+def test_a_shared_duration_column_is_bitwise_the_column_repeated(p_mode, q_mode, n):
+    """A common-mode channel's (n, 1) column, whose phases or coefficients the kernel computes once per chunk,
+    gives the bits of the same durations repeated over all 15 columns, which it computes once per pulse."""
+    models = noise.NoiseModel(1e-2, p_mode), noise.NoiseModel(1e-2, q_mode)
+    initial, p_durations, q_durations = noise._draws(*models, _trial_states(*([29, j] for j in range(n))))
+    assert [durations.shape[1] for durations in (p_durations, q_durations)] == [
+        1 if mode == "common" else 15 for mode in (p_mode, q_mode)]
+    shared = noise._run_chunk(initial, p_durations, q_durations)
+    repeated = noise._run_chunk(initial, *(np.repeat(d, 15 // d.shape[1], axis=1) for d in (p_durations, q_durations)))
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(shared, repeated))
 
 
 def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
