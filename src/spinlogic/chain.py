@@ -29,8 +29,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import linalg
-
 MAX_SECTOR_SPINS = 10
 MAX_FULL_SPINS = 8
 
@@ -39,9 +37,9 @@ MAX_FULL_SPINS = 8
 class Subspace:
     """A fixed-excitation sector (or the full space, n_excitations=None).
 
-    Bond generators, propagator factors and swap maps are cached on the instance;
-    enumerate_subspace and full_space hand out one shared instance per sector,
-    so every caller reuses them without hashing the states.
+    Bond generators and swap maps are cached on the instance; enumerate_subspace
+    and full_space hand out one shared instance per sector, so every caller
+    reuses them without hashing the states.
     """
 
     n_spins: int
@@ -72,37 +70,6 @@ class Subspace:
         for generator in generators:
             generator.flags.writeable = False
         return generators
-
-    @cached_property
-    def bond_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
-        """Per bond, bond 0 first: V and V^dagger as C-contiguous complex arrays, and the bond's spectrum: -1j * each
-        distinct eigenvalue, and the index that spreads those back over the eigenvalues.
-
-        V and the eigenvalues come from the bond generator's eigendecomposition;
-        these are what evolve_eigenbasis multiplies by. Complex C-ordered copies
-        give products bit-identical to the real eigenvectors (numpy casts those
-        the same way); F-ordered copies do not. Eigenvalues are told apart by their
-        bit patterns, so -0.0 and +0.0 stay two, and a pulse takes exp of each
-        distinct value once (eigh gives every bond two). Bonds whose spectra agree
-        bit for bit, values and spread, share one spectrum tuple, whose identity
-        tells evolve_eigenbasis it may reuse phases. Each bond's -3 pi/2 comes
-        once per pair of states its swap exchanges, C(n-2, e-1) on every bond of
-        a sector, so in practice a subspace has one spectrum.
-        """
-        factors, spectra = [], {}
-        for generator in self.bond_generators:
-            values, vectors = linalg.eig_hermitian(generator)
-            bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-            inverse = inverse.ravel()  # np.unique's inverse took the input's shape in some numpy 2.0.x releases
-            spectrum = spectra.setdefault((bits.tobytes(), inverse.tobytes()), (-1j * bits.view(np.float64), inverse))
-            factors.append(
-                (
-                    np.ascontiguousarray(vectors, dtype=np.complex128),
-                    np.ascontiguousarray(vectors.conj().T, dtype=np.complex128),
-                    spectrum,
-                )
-            )
-        return tuple(factors)
 
     @cached_property
     def bond_swaps(self) -> tuple[np.ndarray, ...]:
@@ -173,37 +140,6 @@ def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Su
     psi = np.array(state, dtype=np.complex128)
     evolve((bond,), (duration,), psi, subspace)
     return psi
-
-
-def evolve_eigenbasis(bonds, durations: np.ndarray, stack: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """Pulse bonds[k] for durations[k], k = 0, 1, ..., on an (n, dim, 1) stack, trial j in stack[j], and return it.
-
-    Each pulse is V exp(-i lambda t) V^dagger in the bond generator's eigenbasis
-    (bond_factors), with the bits trial j gets alone: np.matmul makes one gemv
-    per trial, where one gemm over the n columns would round a fifth of the
-    entries differently. durations is a 2-D array of one row of n durations per
-    bond, or of one row that every bond shares. A shared row's phases
-    exp(-i lambda t) are computed once and reused while the next bond's spectrum
-    is the same object, which gives each pulse the bits it would compute itself.
-    Only P's chunk runs this, whose bits the benchmark's recorded reference pins.
-    """
-    factors = subspace.bond_factors
-    if bad := [bond for bond in bonds if not 0 <= bond < len(factors)]:
-        raise _bond_error(bad[0], subspace)
-    if durations.ndim != 2 or len(durations) not in (1, len(bonds)) or stack.ndim != 3 \
-            or stack.shape[::2] != (durations.shape[1], 1):
-        raise ValueError(f"{durations.shape} durations do not match {len(bonds)} bonds "
-                         f"and an (n, dim, 1) stack of shape {stack.shape}")
-    shared, spectrum = len(durations) == 1, None
-    for k, bond in enumerate(bonds):
-        vectors, adjoint, bond_spectrum = factors[bond]
-        if not (shared and bond_spectrum is spectrum):
-            spectrum = bond_spectrum
-            minus_i_values, spread = spectrum
-            phases = np.exp(minus_i_values * durations[0 if shared else k, :, None])[:, spread]  # (n, dim)
-        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-        stack = np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, stack)))
-    return stack
 
 
 def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

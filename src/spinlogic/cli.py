@@ -132,15 +132,20 @@ _MODES = " or ".join(noise.NOISE_MODES)
 # every sweep setting: the converter of its text (flag, config file or environment), its default, its help
 _SWEEP_SETTINGS = {
     "eps": (_grid, None, "comma-separated noise strengths (overrides the log grid)"),
-    "eps_min": (float, noise.DEFAULT_EPS_GRID[0], None),
-    "eps_max": (float, noise.DEFAULT_EPS_GRID[-1], None),
-    "eps_points": (int, len(noise.DEFAULT_EPS_GRID), None),
-    "n_runs": (int, noise.DEFAULT_N_RUNS, None),
-    "seed": (int, noise.DEFAULT_SEED, None),
-    "p_mode": (str, noise.DEFAULT_P_MODE, f"P-channel noise, {_MODES} (default {noise.DEFAULT_P_MODE})"),
-    "q_mode": (str, noise.DEFAULT_Q_MODE, f"Q-channel noise, {_MODES} (default {noise.DEFAULT_Q_MODE})"),
-    "out": (str, "sweep.csv", "CSV output path (default sweep.csv)"),
+    "eps_min": (float, noise.DEFAULT_EPS_GRID[0], "smallest noise strength of the log grid"),
+    "eps_max": (float, noise.DEFAULT_EPS_GRID[-1], "largest noise strength of the log grid"),
+    "eps_points": (int, len(noise.DEFAULT_EPS_GRID), "number of noise strengths in the log grid"),
+    "n_runs": (int, noise.DEFAULT_N_RUNS, "Monte-Carlo trials per noise strength"),
+    "seed": (int, noise.DEFAULT_SEED, f"master seed, from this flag, else the config file, else {SEED_ENV_VAR}"),
+    "p_mode": (str, noise.DEFAULT_P_MODE, f"P-channel noise, {_MODES}"),
+    "q_mode": (str, noise.DEFAULT_Q_MODE, f"Q-channel noise, {_MODES}"),
+    "out": (str, "sweep.csv", "CSV output path"),
 }
+
+
+def _help(key: str) -> str:
+    _, default, text = _SWEEP_SETTINGS[key]
+    return text if default is None else f"{text} (default {default})"
 
 
 def _convert_setting(key: str, text: str, source: str):
@@ -255,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="logical amplitudes: two pairs, or four for SWAP")
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo error sweep with power-law fits")
-    for key, (_, _, text) in _SWEEP_SETTINGS.items():  # no type=: _resolve_sweep_settings converts the text
-        p_sweep.add_argument(f"--{key.replace('_', '-')}", help=text)
+    for key in _SWEEP_SETTINGS:  # no type=: _resolve_sweep_settings converts the text
+        p_sweep.add_argument(f"--{key.replace('_', '-')}", help=_help(key))
     p_sweep.add_argument("--config", help="key=value file mirroring these flags; flags override it")
 
     p_fit = sub.add_parser("fit", help="re-fit an existing sweep CSV")
     p_fit.add_argument("--csv", required=True)
     for key in ("p_mode", "q_mode"):  # the CSV records no modes, and the band verdict depends on them
-        convert, default, text = _SWEEP_SETTINGS[key]
-        p_fit.add_argument(f"--{key.replace('_', '-')}", type=convert, default=default, help=text)
+        convert, default, _ = _SWEEP_SETTINGS[key]
+        p_fit.add_argument(f"--{key.replace('_', '-')}", type=convert, default=default, help=_help(key))
 
     p_exp = sub.add_parser("export-schedule", help="write a gate's pulse schedule")
     p_exp.add_argument("--gate", required=True, choices=["F", "FPH", "H", "P", "SWAP", "CYCLE"])

@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra for small pulse generators.
 
 Pulses evolve by the closed form exp(-i V_k t) = c + s S_k (chain.evolve). Only
-P's stacked sweep pulse (chain.Subspace.bond_factors, kept for its recorded bits)
-and independent references (propagator) diagonalize a small real-symmetric bond
+the sweep's P pulses (noise._p_factors, kept for their recorded bits) and
+independent references (propagator) diagonalize a small real-symmetric bond
 Hamiltonian, so this module only has to validate Hermiticity, diagonalize and
 exponentiate. Eigenvalues are ascending, with orthonormal eigenvector columns.
 """

@@ -28,21 +28,20 @@ perturbed sequence and takes the largest pairwise wrapped difference of the
 four target phases. Trials whose target overlap drops below OVERLAP_FLOOR
 have no defined phase and are excluded from the phase mean but counted.
 
-A sweep draws each point's trials in chunks of at most CHUNK_TRIALS
-(_draws) and runs the drawn arrays, each trial's initial state and P and Q
-durations, through one kernel (_run_chunk). Q's chunk evolves by the closed
-form of each pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap
-(chain.evolve, as in gates.simulate): an elementwise multiply-add on a gather,
-with no BLAS. P keeps the eigenbasis, one gemv per trial and pulse on an
-(n, dim, 1) stack (chain.evolve_eigenbasis), until a re-recorded benchmark
-reference admits its new bits: float64 P at the smallest epsilon is
-rounding-limited, and the closed form moves its fitted amplitude by about
-1 %. A channel in common mode draws one (n, 1) column of durations that every
-pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) while the
-bonds share one spectrum object (as every bond of a sector does), are computed
-once per chunk instead of once per pulse. Every step and every reduction is
-batched in a form that rounds as one trial does, so a trial gives the same
-bits in any chunk and in either duration layout.
+A sweep draws each point's trials in chunks of at most CHUNK_TRIALS (_draws)
+and runs the drawn arrays, each trial's initial state and P and Q durations,
+through one kernel (_run_chunk). Q's chunk evolves by the closed form of each
+pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap (chain.evolve, as in
+gates.simulate): an elementwise multiply-add on a gather, with no BLAS. P
+keeps the eigenbasis (_p_factors), one gemv per trial and pulse, until a
+re-recorded benchmark reference admits its new bits: float64 P at the smallest
+epsilon is rounding-limited, and the closed form moves its fitted amplitude by
+about 1 %. A channel in common mode draws one (n, 1) column of durations that
+every pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) (every
+bond of the sector has one spectrum), are computed once per chunk instead of
+once per pulse. Every step and every reduction is batched in a form that
+rounds as one trial does, so a trial gives the same bits in any chunk and in
+either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -62,7 +61,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import chain, encoding, gates
+from . import chain, encoding, gates, linalg
 from .pulses import Pulse, PulseSequence
 
 DEFAULT_SEED = 123456789
@@ -320,23 +319,56 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tupl
             rows[:, p_width:] * q_noise.epsilon + nominal)
 
 
+@cache
+def _p_factors() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+    """P's pulse factors on the sweep's sector: per bond V and V^dagger, and the one spectrum of every bond.
+
+    V and V^dagger are C-ordered complex copies of eigh's vectors, whose products
+    keep the real vectors' bits (F-ordered copies' do not). The spectrum is -1j *
+    each distinct eigenvalue, told apart by its bits, and the index spreading
+    them back. Every bond has pi/2 and, C(4, 1) times, -3 pi/2; one spectrum's
+    phases serve all bonds, so the build refuses unless all their bits agree.
+    """
+    factors, spectra = [], set()
+    for generator in _lab()[0].subspace.bond_generators:
+        values, vectors = linalg.eig_hermitian(generator)
+        bits, spread = np.unique(values.view(np.uint64), return_inverse=True)
+        spread = spread.ravel()  # np.unique's inverse took the input's shape in some numpy 2.0.x releases
+        spectra.add((bits.tobytes(), spread.tobytes()))
+        factors.append((np.ascontiguousarray(vectors, dtype=np.complex128),
+                        np.ascontiguousarray(vectors.conj().T, dtype=np.complex128)))
+    if len(spectra) != 1:
+        raise RuntimeError(f"P's bonds have {len(spectra)} spectra, bit for bit, where its phases need one")
+    return tuple(factors), -1j * bits.view(np.float64), spread
+
+
 def _run_chunk(initial: list[int], p_durations: np.ndarray,
                q_durations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, whether Q is defined, and the norm error of trials j = 0..n-1, evolved together.
 
     P evolves logical product initial[j] for durations p_durations[j] in an
-    (n, dim, 1) stack, one gemv per trial (chain.evolve_eigenbasis). Q evolves
-    all four products for q_durations[j] in a (dim, 4, n) chunk, trial j in
-    [..., j], by chain.evolve in place; the reductions read both as they are.
-    Each durations array has one column per pulse, or one column that every
-    pulse shares (common mode, as _draws gives it): then P's phases and Q's
-    coefficients are computed once per chunk instead of once per pulse, the
-    same bits. Every step rounds as a lone trial (a chunk of one) does, so no
-    result depends on the chunk. NaN or infinite durations give NaN.
+    (n, dim, 1) stack by V exp(-i lambda t) V^dagger (_p_factors), one gemv per
+    trial and pulse. Q evolves all four products for q_durations[j] in a
+    (dim, 4, n) chunk, trial j in [..., j], by chain.evolve in place; the
+    reductions read both as they are. Each durations array has one column per
+    pulse, or one column that every pulse shares (common mode, as _draws gives
+    it): then P's phases and Q's coefficients are computed once per chunk
+    instead of once per pulse, the same bits. Every step rounds as a lone trial
+    (a chunk of one) does, so no result depends on the chunk. NaN or infinite
+    durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
-    psi = chain.evolve_eigenbasis(bonds, p_durations.T, frame.vectors.T[initial, :, None], frame.subspace)
+    factors, minus_i_values, spread = _p_factors()
+    if p_durations.shape[1] not in (1, len(bonds)):
+        raise ValueError(f"{p_durations.shape[1]} P durations for {len(bonds)} bonds")
+    psi = frame.vectors.T[initial, :, None]
+    for k, bond in enumerate(bonds):
+        if k < p_durations.shape[1]:  # a shared column's phases serve every pulse
+            phases = np.exp(minus_i_values * p_durations[:, k, None])[:, spread]  # (n, dim)
+        vectors, adjoint = factors[bond]
+        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
+        psi = np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, psi)))
     evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
     chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
     squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])

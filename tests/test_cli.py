@@ -91,6 +91,29 @@ def test_verify_does_not_import_numpy_random():
     assert loaded == "False"
 
 
+_VERIFY_SOLVES_NO_EIGENSYSTEM = """
+import numpy
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an eigensolver was called")
+
+for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    setattr(numpy.linalg, name, refuse)
+from spinlogic import cli, encoding, gates
+assert cli.main(["verify"]) == 0
+frame = encoding.pair_frame()
+gates.simulate(gates.swap_sequence(), frame.vectors[:, :4], frame.subspace)
+"""
+
+
+def test_verify_and_the_swap_call_no_eigensolver():
+    """Every pulse of verify and simulate takes the closed form c + s S_k; only the sweep's P pulses diagonalize."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _VERIFY_SOLVES_NO_EIGENSYSTEM],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_verify_single_check_prints_the_measured_swap_phase(capsys):
     assert run_cli("verify", "--check", "swap-phase") == 0
     out = capsys.readouterr().out

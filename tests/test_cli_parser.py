@@ -67,3 +67,13 @@ def test_a_handler_patched_after_the_first_call_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_fit", fake)
     assert cli.main(["fit", "--csv", "points.csv"]) == 7
     assert seen == ["points.csv"]
+
+
+def test_every_sweep_flag_names_its_default_in_its_help():
+    printed = " ".join(_help_text(cli.main, ["sweep", "--help"]).split())
+    for key, (_, default, _) in cli._SWEEP_SETTINGS.items():
+        flag = key.replace("_", "-")
+        text = printed.split(f" --{flag} {key.upper()} ", 1)[1].split(" --", 1)[0]
+        assert ("(overrides the log grid)" if default is None else f"(default {default})") in text, flag
+        if key == "seed":  # the three sources, in their order of precedence
+            assert "from this flag, else the config file, else SPINLOGIC_SEED" in text

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import chain, encoding, gates, noise
+from spinlogic import chain, encoding, gates, linalg, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -505,6 +505,44 @@ def test_a_shared_duration_column_is_bitwise_the_column_repeated(p_mode, q_mode,
     shared = noise._run_chunk(initial, p_durations, q_durations)
     repeated = noise._run_chunk(initial, *(np.repeat(d, 15 // d.shape[1], axis=1) for d in (p_durations, q_durations)))
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(shared, repeated))
+
+
+def test_p_factors_are_bitwise_eighs_eigensystem():
+    """P's factors are complex C-ordered copies of eigh's vectors, and -1j * values[spread] is -1j * eigh's values
+    bit for bit, each bit pattern once: -0.0 and +0.0 would stay two."""
+    factors, minus_i_values, spread = noise._p_factors()
+    assert len({value.tobytes() for value in minus_i_values}) == minus_i_values.size
+    for generator, (vectors, adjoint) in zip(noise._lab()[0].subspace.bond_generators, factors, strict=True):
+        values, want = linalg.eig_hermitian(generator)
+        assert np.array_equal(minus_i_values[spread].view(np.uint64), (-1j * values).view(np.uint64))
+        assert vectors.flags.c_contiguous and adjoint.flags.c_contiguous
+        assert np.array_equal(vectors, want) and np.array_equal(adjoint, want.T)
+
+
+def test_p_factors_refuse_bonds_whose_spectra_differ_bitwise(monkeypatch):
+    """One spectrum's phases serve every P pulse, so a bond whose eigenvalues differ must refuse the build."""
+    sector = noise._lab()[0].subspace
+    eig_hermitian = linalg.eig_hermitian
+
+    def bond_2_apart(matrix):
+        values, vectors = eig_hermitian(matrix)
+        return (values * 1.001 if matrix is sector.bond_generators[2] else values), vectors
+
+    monkeypatch.setattr(linalg, "eig_hermitian", bond_2_apart)
+    noise._p_factors.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="2 spectra"):
+            noise._p_factors()
+    finally:
+        monkeypatch.undo()
+        noise._p_factors.cache_clear()
+
+
+def test_run_chunk_refuses_durations_neither_1_nor_15_columns_wide():
+    durations = np.full((2, 15), 0.5)
+    for p_width, q_width in ((3, 15), (15, 3)):
+        with pytest.raises(ValueError, match="3 (P )?durations for 15 bonds"):
+            noise._run_chunk([0, 1], durations[:, :p_width], durations[:, :q_width])
 
 
 def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
