@@ -33,15 +33,17 @@ and runs the drawn arrays, each trial's initial state and P and Q durations,
 through one kernel (_run_chunk). Q's chunk evolves by the closed form of each
 pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap (chain.evolve, as in
 gates.simulate): an elementwise multiply-add on a gather, with no BLAS. P
-keeps the eigenbasis (_p_factors), one gemv per trial and pulse, until a
-re-recorded benchmark reference admits its new bits: float64 P at the smallest
-epsilon is rounding-limited, and the closed form moves its fitted amplitude by
-about 1 %. A channel in common mode draws one (n, 1) column of durations that
-every pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) (every
-bond of the sector has one spectrum), are computed once per chunk instead of
-once per pulse. Every step and every reduction is batched in a form that
-rounds as one trial does, so a trial gives the same bits in any chunk and in
-either duration layout.
+keeps the eigenbasis (_p_factors) until a re-recorded benchmark reference
+admits new bits: float64 P at the smallest epsilon is rounding-limited, and
+the closed form moves its fitted amplitude by about 1 %. Its chunk is one
+(dim, W) array, zero-padded to a fixed width W, and each pulse is two real
+gemms by V^T and V on its float64 view with the phases multiplied in between.
+A channel in common mode draws one (n, 1) column of durations that every
+pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) (every bond
+of the sector has one spectrum), are computed once per chunk instead of once
+per pulse. Every step and every reduction is batched in a form that rounds as
+one trial does, so a trial gives the same bits in any chunk and in either
+duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -49,7 +51,7 @@ neither on the order in which trials run nor on how they are chunked. A sweep
 computes those seeds a chunk at a time with SeedSequence's hash on uint32
 arrays (_substream_states), which a test checks against SeedSequence itself.
 Q's path calls no BLAS, so its columns keep their bytes under any OpenBLAS
-kernel; P's gemv does not, and turning off numpy's AVX512 loops changes Q's.
+kernel; P's gemms do not, and turning off numpy's AVX512 loops changes Q's.
 """
 from __future__ import annotations
 
@@ -68,7 +70,8 @@ DEFAULT_SEED = 123456789
 DEFAULT_N_RUNS = 1000
 DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-4, 1e-2, 8))
 OVERLAP_FLOOR = 1e-6
-CHUNK_TRIALS = 256  # trials a sweep evolves together; no result depends on it
+# trials a sweep evolves together, and the multiple of it that P's gemms are zero-padded to; no result depends on it
+CHUNK_TRIALS = 256
 
 NOISE_MODES = ("independent", "common")
 DEFAULT_P_MODE, DEFAULT_Q_MODE = "common", "independent"
@@ -321,13 +324,15 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tupl
 
 @cache
 def _p_factors() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
-    """P's pulse factors on the sweep's sector: per bond V and V^dagger, and the one spectrum of every bond.
+    """P's pulse factors on the sweep's sector: per bond V and V^T, and the one spectrum of every bond.
 
-    V and V^dagger are C-ordered complex copies of eigh's vectors, whose products
-    keep the real vectors' bits (F-ordered copies' do not). The spectrum is -1j *
-    each distinct eigenvalue, told apart by its bits, and the index spreading
-    them back. Every bond has pi/2 and, C(4, 1) times, -3 pi/2; one spectrum's
-    phases serve all bonds, so the build refuses unless all their bits agree.
+    V and V^T are real float64 C-ordered copies of eigh's vectors and of their
+    transpose (the generators are real symmetric, so V^dagger = V^T): one real
+    gemm on a complex chunk's interleaved float64 view applies them to both
+    parts. The spectrum is -1j * each distinct eigenvalue, told apart by its
+    bits, and the index spreading them back. Every bond has pi/2 and, C(4, 1)
+    times, -3 pi/2; one spectrum's phases serve all bonds, so the build refuses
+    unless all their bits agree.
     """
     factors, spectra = [], set()
     for generator in _lab()[0].subspace.bond_generators:
@@ -335,8 +340,8 @@ def _p_factors() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray,
         bits, spread = np.unique(values.view(np.uint64), return_inverse=True)
         spread = spread.ravel()  # np.unique's inverse took the input's shape in some numpy 2.0.x releases
         spectra.add((bits.tobytes(), spread.tobytes()))
-        factors.append((np.ascontiguousarray(vectors, dtype=np.complex128),
-                        np.ascontiguousarray(vectors.conj().T, dtype=np.complex128)))
+        factors.append((np.ascontiguousarray(vectors, dtype=np.float64),
+                        np.ascontiguousarray(vectors.T, dtype=np.float64)))
     if len(spectra) != 1:
         raise RuntimeError(f"P's bonds have {len(spectra)} spectra, bit for bit, where its phases need one")
     return tuple(factors), -1j * bits.view(np.float64), spread
@@ -346,30 +351,38 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
                q_durations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, whether Q is defined, and the norm error of trials j = 0..n-1, evolved together.
 
-    P evolves logical product initial[j] for durations p_durations[j] in an
-    (n, dim, 1) stack by V exp(-i lambda t) V^dagger (_p_factors), one gemv per
-    trial and pulse. Q evolves all four products for q_durations[j] in a
-    (dim, 4, n) chunk, trial j in [..., j], by chain.evolve in place; the
-    reductions read both as they are. Each durations array has one column per
-    pulse, or one column that every pulse shares (common mode, as _draws gives
-    it): then P's phases and Q's coefficients are computed once per chunk
-    instead of once per pulse, the same bits. Every step rounds as a lone trial
-    (a chunk of one) does, so no result depends on the chunk. NaN or infinite
-    durations give NaN.
+    P evolves logical product initial[j] for durations p_durations[j] in column
+    j of a (dim, W) chunk by V exp(-i lambda t) V^T (_p_factors): per pulse, two
+    real gemms on the chunk's float64 view and the phases multiplied in between.
+    The chunk is zero-padded to W, a multiple of CHUNK_TRIALS, because a gemm's
+    columns round alike only at a fixed width (its tail columns, and a gemv for
+    one column, round differently). Q evolves all four products for
+    q_durations[j] in a (dim, 4, n) chunk, trial j in [..., j], by chain.evolve
+    in place. Each durations array has one column per pulse, or one column
+    that every pulse shares (common mode, as _draws gives it): then P's phases
+    and Q's coefficients are computed once per chunk instead of once per
+    pulse, the same bits. Every step rounds as a lone trial (a chunk of one)
+    does, so no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
     factors, minus_i_values, spread = _p_factors()
     if p_durations.shape[1] not in (1, len(bonds)):
         raise ValueError(f"{p_durations.shape[1]} P durations for {len(bonds)} bonds")
-    psi = frame.vectors.T[initial, :, None]
+    n = len(initial)
+    psi = np.zeros((frame.vectors.shape[0], CHUNK_TRIALS * math.ceil(n / CHUNK_TRIALS)), dtype=np.complex128)
+    psi[:, :n] = frame.vectors[:, initial]
+    rotated = np.empty_like(psi)
     for k, bond in enumerate(bonds):
         if k < p_durations.shape[1]:  # a shared column's phases serve every pulse
-            phases = np.exp(minus_i_values * p_durations[:, k, None])[:, spread]  # (n, dim)
-        vectors, adjoint = factors[bond]
+            phases = np.exp(minus_i_values[:, None] * p_durations[:, k])[spread]  # (dim, n)
+        vectors, transpose = factors[bond]
+        np.matmul(transpose, psi.view(np.float64), out=rotated.view(np.float64))
         # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
-        psi = np.matmul(vectors, np.multiply(phases[..., None], np.matmul(adjoint, psi)))
-    evolved = np.repeat(frame.vectors[:, :4, None], len(initial), axis=2)
+        np.multiply(phases, rotated[:, :n], out=rotated[:, :n])
+        np.matmul(vectors, rotated.view(np.float64), out=psi.view(np.float64))
+    psi = np.ascontiguousarray(psi[:, :n].T)[..., None]  # (n, dim, 1), the layout _probability_errors rounds per trial
+    evolved = np.repeat(frame.vectors[:, :4, None], n, axis=2)
     chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
     squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])
     q_values, defined = _phase_errors(targets, evolved)

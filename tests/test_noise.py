@@ -445,13 +445,18 @@ def _same(a, b):
 # pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), the largest |Q - textbook Q|
 # was 1.67e-15; the bound is 4e-15.
 TRIAL_BOUND = 4e-15
+# P's real gemms against the textbook's complex gemvs: over trials [17, 0..999] in
+# both mode pairings at eps 0, 1e-4 and 1e-2 (6006 trials), the largest
+# |P - textbook P| was 1.33e-15; the bound is 4e-15.
+P_TRIAL_BOUND = 4e-15
 
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: P's lambda * t overflows; Q's pulses are identities
 def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
-    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's P and defined bits, its norm
-    error to 1e-15 and its Q to TRIAL_BOUND; the chunk and the lone trial agree bit for bit.
+    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's defined bits, its P to
+    P_TRIAL_BOUND, its norm error to 1e-15 and its Q to TRIAL_BOUND, with NaN where the textbook has NaN; the chunk
+    and the lone trial agree bit for bit.
 
     At 3e307 every duration is a multiple of 4, so each Q pulse is the identity,
     no target overlap is defined and Q is NaN in both; P overflows in some
@@ -466,7 +471,8 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
             alone = tuple(column.item() for column in alone)
             got = tuple(column[trial].item() for column in chunk)
             assert all(_same(a, b) for a, b in zip(got, alone))
-            assert _same(got[0], want[0]) and got[2] == want[2]
+            assert got[2] == want[2]
+            assert _same(got[0], want[0]) or abs(got[0] - want[0]) <= P_TRIAL_BOUND
             assert _same(got[1], want[1]) or abs(got[1] - want[1]) <= TRIAL_BOUND
             assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
     if eps == 3e307:
@@ -508,15 +514,16 @@ def test_a_shared_duration_column_is_bitwise_the_column_repeated(p_mode, q_mode,
 
 
 def test_p_factors_are_bitwise_eighs_eigensystem():
-    """P's factors are complex C-ordered copies of eigh's vectors, and -1j * values[spread] is -1j * eigh's values
-    bit for bit, each bit pattern once: -0.0 and +0.0 would stay two."""
+    """P's factors are real float64 C-ordered copies of eigh's vectors and of their transpose, and
+    -1j * values[spread] is -1j * eigh's values bit for bit, each bit pattern once: -0.0 and +0.0 would stay two."""
     factors, minus_i_values, spread = noise._p_factors()
     assert len({value.tobytes() for value in minus_i_values}) == minus_i_values.size
-    for generator, (vectors, adjoint) in zip(noise._lab()[0].subspace.bond_generators, factors, strict=True):
+    for generator, (vectors, transpose) in zip(noise._lab()[0].subspace.bond_generators, factors, strict=True):
         values, want = linalg.eig_hermitian(generator)
         assert np.array_equal(minus_i_values[spread].view(np.uint64), (-1j * values).view(np.uint64))
-        assert vectors.flags.c_contiguous and adjoint.flags.c_contiguous
-        assert np.array_equal(vectors, want) and np.array_equal(adjoint, want.T)
+        for factor, eigh_factor in ((vectors, want), (transpose, want.T)):
+            assert factor.dtype == np.float64 and factor.flags.c_contiguous
+            assert np.array_equal(factor.view(np.uint64), eigh_factor.view(np.uint64))
 
 
 def test_p_factors_refuse_bonds_whose_spectra_differ_bitwise(monkeypatch):
@@ -562,8 +569,9 @@ def test_batched_probability_errors_are_bitwise_the_per_trial_formula():
 _CHUNK_EQUALS_ITS_TRIALS_ALONE = """
 import numpy as np
 from spinlogic import noise
-# 37 trials: the elementwise loops over a chunk's trials end on a partial SIMD vector
-for n, modes in ((n, modes) for n in (40, 37) for modes in (("common", "independent"), ("independent", "common"))):
+# 256 trials: a full chunk, so P's gemms have no padding columns; 37 trials: the
+# elementwise loops over a chunk's trials end on a partial SIMD vector
+for n, modes in ((n, modes) for n in (256, 40, 37) for modes in (("common", "independent"), ("independent", "common"))):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
     states = np.array([np.random.SeedSequence([5, j]).generate_state(4, np.uint64) for j in range(n)])
     chunk = noise._run_chunk(*noise._draws(*models, states))
@@ -574,8 +582,9 @@ for n, modes in ((n, modes) for n in (40, 37) for modes in (("common", "independ
 
 @pytest.mark.parametrize(
     "env",
-    [{"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
-    ids=["openblas-prescott", "numpy-without-avx512-icl"],
+    [{"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"},
+     {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+    ids=["openblas-prescott", "openblas-haswell", "numpy-without-avx512-icl"],
 )
 def test_a_chunk_equals_its_trials_alone_under_other_kernels(env):
     """Other BLAS and numpy SIMD kernels round differently, but a chunk still rounds as its trials do alone."""
