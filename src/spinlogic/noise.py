@@ -41,9 +41,8 @@ gemms by V^T and V on its float64 view with the phases multiplied in between.
 A channel in common mode draws one (n, 1) column of durations that every
 pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) (every bond
 of the sector has one spectrum), are computed once per chunk instead of once
-per pulse. Every step and every reduction is batched in a form that rounds as
-one trial does, so a trial gives the same bits in any chunk and in either
-duration layout.
+per pulse. Each trial's reductions read only its own column, so a trial gives
+the same bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -258,7 +257,7 @@ def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
         raise ValueError(f"initial_index must be 0..3, got {initial_index}")
     frame, targets, _ = _lab()
     psi = gates.simulate(perturbed, frame.vectors[:, initial_index], frame.subspace)
-    return _probability_errors(targets, [initial_index], psi[None, :, None])[0]
+    return _probability_errors(targets, [initial_index], psi[:, None])[0]
 
 
 def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
@@ -273,19 +272,16 @@ def phase_error(perturbed: PulseSequence) -> tuple[float, bool]:
 
 
 def _probability_errors(targets: np.ndarray, initial: list[int], psi: np.ndarray) -> np.ndarray:
-    """P of each (dim, 1) trial psi[j] against its initial state's target, rounded as one trial's Python rounds:
-    a 1x1 matmul is BLAS's complex dot, hypot and float_power are libm's (abs of a complex, ** 2 of a float).
-    np.abs of a complex array and ** 2 of an array, which multiplies, round differently."""
-    overlaps = (targets.T.conj()[initial, None, :] @ psi)[:, 0, 0]
-    return np.abs(1.0 - np.float_power(np.hypot(overlaps.real, overlaps.imag), 2))
+    """P of each trial j of a (dim, n) chunk, psi[:, j], against the target of its initial state initial[j]."""
+    overlaps = np.einsum("ij,ij->j", targets.conj()[:, initial], psi)
+    return np.abs(1.0 - (overlaps.real ** 2 + overlaps.imag ** 2))
 
 
 def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q of each trial j of a (dim, 4, n) chunk, evolved[..., j], NaN where undefined, and whether it is defined."""
     overlaps = np.einsum("ij,ijk->kj", targets.conj(), evolved)
     defined = ~(np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR)  # a NaN overlap counts as defined
-    # np.angle rather than cmath.phase, which can differ in the last bit; a NaN
-    # phase (from an infinite or NaN duration) makes the spread NaN
+    # a NaN phase (from an infinite or NaN duration) makes the spread NaN
     phases = np.angle(overlaps)
     diffs = np.abs(phases[:, :, None] - phases[:, None, :])
     spreads = np.minimum(diffs, 2 * math.pi - diffs).max(axis=(1, 2))
@@ -361,8 +357,8 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     in place. Each durations array has one column per pulse, or one column
     that every pulse shares (common mode, as _draws gives it): then P's phases
     and Q's coefficients are computed once per chunk instead of once per
-    pulse, the same bits. Every step rounds as a lone trial (a chunk of one)
-    does, so no result depends on the chunk. NaN or infinite durations give NaN.
+    pulse, the same bits. Every reduction reads each trial's column alone, so
+    no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
@@ -378,13 +374,13 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
             phases = np.exp(minus_i_values[:, None] * p_durations[:, k])[spread]  # (dim, n)
         vectors, transpose = factors[bond]
         np.matmul(transpose, psi.view(np.float64), out=rotated.view(np.float64))
-        # phases first: numpy's SIMD complex multiply rounds rotated * phases differently
         np.multiply(phases, rotated[:, :n], out=rotated[:, :n])
         np.matmul(vectors, rotated.view(np.float64), out=psi.view(np.float64))
-    psi = np.ascontiguousarray(psi[:, :n].T)[..., None]  # (n, dim, 1), the layout _probability_errors rounds per trial
+    psi = psi[:, :n]
     evolved = np.repeat(frame.vectors[:, :4, None], n, axis=2)
     chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
-    squared_norms = np.vstack([(psi.conj() * psi).real.sum(axis=(1, 2)), (evolved.conj() * evolved).real.sum(axis=0)])
+    # einsum, not sum(axis=0), which turns a lone trial's (dim, 1) sum into a pairwise 1-D one that rounds differently
+    squared_norms = np.vstack([np.einsum("ij,ij->j", psi.conj(), psi).real, (evolved.conj() * evolved).real.sum(axis=0)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,
             np.abs(np.sqrt(squared_norms) - 1.0).max(axis=0))

@@ -197,7 +197,7 @@ SWAP_PULSE_BOUND = 1e-14
 
 
 @_SPACES
-def test_apply_bond_pulse_is_bitwise_the_textbook_formula(space, textbook_pulse):
+def test_apply_bond_pulse_matches_the_textbook_formula(space, textbook_pulse):
     # a plain duration takes evolve's closed form, within SWAP_PULSE_BOUND of V exp(-i lambda t) V^dagger psi
     n_spins, _ = space
     sub = _space(*space)

@@ -28,29 +28,38 @@ def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    ("argv", "message"),
+    ("argv", "message", "in_child"),
     [
-        (["verify", "--check", "nonsense"], "unknown check 'nonsense'; choose from: frame-orthonormality, "),
-        (["simulate", "--gate", "F", "--state", "1,0"], "expected 2 amplitudes (re,im pairs), got 1"),
-        (["sweep", "--eps", "abc", "--out", "/nonexistent/sweep.csv"], "--eps: could not convert string to float: 'abc'"),
-        (["fit", "--csv", "/nonexistent/sweep.csv"], "[Errno 2] No such file or directory: '/nonexistent/sweep.csv'"),
-        (["export-schedule", "--gate", "P"], "gate P needs --theta"),
-        (["verify", "--corrupt-t2", "abc"], "argument --corrupt-t2: invalid float value: 'abc'"),
+        (["verify", "--check", "nonsense"], "unknown check 'nonsense'; choose from: frame-orthonormality, ", False),
+        (["simulate", "--gate", "F", "--state", "1,0"], "expected 2 amplitudes (re,im pairs), got 1", False),
+        (["sweep", "--eps", "abc", "--out", "/nonexistent/sweep.csv"], "--eps: could not convert string to float: 'abc'",
+         True),
+        (["fit", "--csv", "/nonexistent/sweep.csv"], "[Errno 2] No such file or directory: '/nonexistent/sweep.csv'",
+         False),
+        (["export-schedule", "--gate", "P"], "gate P needs --theta", False),
+        (["verify", "--corrupt-t2", "abc"], "argument --corrupt-t2: invalid float value: 'abc'", False),
         (["simulate", "--gate", "P", "--theta", "abc", "--state", "1,0", "0,0"],
-         "argument --theta: invalid float value: 'abc'"),
-        (["simulate", "--gate", "X", "--state", "1,0", "0,0"], "argument --gate: invalid choice: 'X'"),
+         "argument --theta: invalid float value: 'abc'", False),
+        (["simulate", "--gate", "X", "--state", "1,0", "0,0"], "argument --gate: invalid choice: 'X'", False),
         (["simulate", "--gate", "P", "--theta", "400", "--degrees", "--state", "1,0", "0,0"],
-         "--theta must lie in [0, 360] degrees, got 400.0"),
+         "--theta must lie in [0, 360] degrees, got 400.0", False),
     ],
     ids=["verify", "simulate", "sweep", "fit", "export-schedule", "corrupt-t2-text", "theta-text", "unknown-gate",
          "theta-degrees-range"],
 )
-def test_every_command_reports_bad_input_in_one_line(argv, message):
-    done = run_spinlogic(*argv)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message)
-    assert "Traceback" not in done.stderr
+def test_every_command_reports_bad_input_in_one_line(argv, message, in_child, capsys):
+    """Exit 2, no stdout and one stderr line. The cases run through cli.main, where an escaping exception or a
+    RuntimeWarning fails the test; one runs through `python -m spinlogic`, the process's own exit status and stderr."""
+    if in_child:
+        done = run_spinlogic(*argv)
+        status, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        status = run_cli(*argv)
+        out, err = capsys.readouterr()
+    assert status == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- verify
