@@ -18,6 +18,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -114,7 +115,9 @@ def _read_config(path: str) -> dict[str, str]:
     table = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
+            # as configparser's inline comments: "#" opens one at the start of a line or after whitespace, so a
+            # value such as out = res#1.csv keeps its "#"
+            body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not body:
                 continue
             if "=" not in body:

@@ -1,10 +1,29 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from spinlogic import chain, encoding, linalg, noise
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """`python *args` in a fresh process that imports spinlogic from this checkout, with env added to its environment.
+
+    For the few properties only a fresh process shows: what an import loads, settings the libraries read when they
+    load, and `python -m spinlogic`'s own exit status and stderr. Everything else runs the CLI through cli.main.
+    """
+    def run(*args, **env) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    return run
 
 
 @pytest.fixture(scope="session")
@@ -24,13 +43,19 @@ def frame_ab():
 
 @pytest.fixture(scope="session")
 def textbook_pulse():
-    """exp(-i V_bond t) applied as V exp(-i lambda t) V^dagger, from a fresh eigendecomposition.
+    """exp(-i V_bond t) applied as V exp(-i lambda t) V^dagger, from its own eigendecomposition of each bond and sector.
 
-    Shares no cache with chain.apply_bond_pulse or chain.evolve, which it is the reference for.
+    Shares no cache with chain.apply_bond_pulse or chain.evolve, which it is the reference for: its eigensystems are
+    computed once per (bond, n_spins, n_excitations) and kept in this closure.
     Takes a vector or a (dim, m) column block.
     """
+    eigensystems = {}
+
     def pulse(bond, t, state, sub):
-        values, vectors = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+        key = (bond, sub.n_spins, sub.n_excitations)
+        if key not in eigensystems:
+            eigensystems[key] = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+        values, vectors = eigensystems[key]
         phases = np.exp(-1j * values * t)
         weights = phases if state.ndim == 1 else phases[:, None]
         return vectors @ (weights * (vectors.conj().T @ state))

@@ -1,27 +1,15 @@
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from spinlogic import cli, gates, noise
 
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
 def run_cli(*argv) -> int:
+    """The CLI in-process. A test that must show what a process would print takes capfd, which also catches writes
+    to file descriptor 2, and recwarn, which records every warning, even one numpy would print once per location."""
     return cli.main(list(argv))
-
-
-def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
-    """`python -m spinlogic` in a fresh process, so numpy warnings show on its stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env}
-    return subprocess.run([sys.executable, "-m", "spinlogic", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # ---------------------------------------------------------------- bad input
@@ -47,11 +35,11 @@ def run_spinlogic(*argv, **env) -> subprocess.CompletedProcess:
     ids=["verify", "simulate", "sweep", "fit", "export-schedule", "corrupt-t2-text", "theta-text", "unknown-gate",
          "theta-degrees-range"],
 )
-def test_every_command_reports_bad_input_in_one_line(argv, message, in_child, capsys):
+def test_every_command_reports_bad_input_in_one_line(argv, message, in_child, capsys, fresh_python):
     """Exit 2, no stdout and one stderr line. The cases run through cli.main, where an escaping exception or a
     RuntimeWarning fails the test; one runs through `python -m spinlogic`, the process's own exit status and stderr."""
     if in_child:
-        done = run_spinlogic(*argv)
+        done = fresh_python("-m", "spinlogic", *argv)
         status, out, err = done.returncode, done.stdout, done.stderr
     else:
         status = run_cli(*argv)
@@ -79,48 +67,54 @@ def test_verify_passes_and_lists_every_check(capsys):
     assert out.splitlines()[-1] == "all 13 checks passed"
 
 
-_VERIFY_LOADS = """
+# Every eigensolver is replaced before spinlogic is imported by one that records its name and then solves, so a
+# called eigensolver fails only the eigensolver test and verify still runs to the numpy.random reading.
+_VERIFY_IN_A_FRESH_PROCESS = """
+import json
 import sys
 import numpy
+
 eager = "numpy.random" in sys.modules  # numpy before 2.0 imports it with itself
-from spinlogic import cli
-assert cli.main(["verify"]) == 0
-print(eager, "numpy.random" in sys.modules)
-"""
+eigensolver_calls = []
 
-
-def test_verify_does_not_import_numpy_random():
-    """verify draws no random numbers, so its processes should not pay for importing numpy.random."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", _VERIFY_LOADS], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    eager, loaded = done.stdout.splitlines()[-1].split()
-    if eager == "True":
-        pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert loaded == "False"
-
-
-_VERIFY_SOLVES_NO_EIGENSYSTEM = """
-import numpy
-
-def refuse(*args, **kwargs):
-    raise AssertionError("an eigensolver was called")
+def recorded(name, solver):
+    def solve(*args, **kwargs):
+        eigensolver_calls.append(name)
+        return solver(*args, **kwargs)
+    return solve
 
 for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-    setattr(numpy.linalg, name, refuse)
+    setattr(numpy.linalg, name, recorded(name, getattr(numpy.linalg, name)))
 from spinlogic import cli, encoding, gates
-assert cli.main(["verify"]) == 0
+status = cli.main(["verify"])
+random_after_verify = "numpy.random" in sys.modules
 frame = encoding.pair_frame()
 gates.simulate(gates.swap_sequence(), frame.vectors[:, :4], frame.subspace)
+print(json.dumps({"verify_status": status, "eager": eager, "random_after_verify": random_after_verify,
+                  "eigensolver_calls": eigensolver_calls}))
 """
 
 
-def test_verify_and_the_swap_call_no_eigensolver():
-    """Every pulse of verify and simulate takes the closed form c + s S_k; only the sweep's P pulses diagonalize."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", _VERIFY_SOLVES_NO_EIGENSYSTEM],
-                          capture_output=True, text=True, env=env, timeout=60)
+@pytest.fixture(scope="module")
+def verify_in_a_fresh_process(fresh_python):
+    """One `verify` then one swap simulate in a fresh process, read by the two tests of what that process does."""
+    done = fresh_python("-c", _VERIFY_IN_A_FRESH_PROCESS)
     assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_verify_does_not_import_numpy_random(verify_in_a_fresh_process):
+    """verify draws no random numbers, so its processes should not pay for importing numpy.random."""
+    assert verify_in_a_fresh_process["verify_status"] == 0
+    if verify_in_a_fresh_process["eager"]:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert verify_in_a_fresh_process["random_after_verify"] is False
+
+
+def test_verify_and_the_swap_call_no_eigensolver(verify_in_a_fresh_process):
+    """Every pulse of verify and simulate takes the closed form c + s S_k; only the sweep's P pulses diagonalize."""
+    assert verify_in_a_fresh_process["verify_status"] == 0
+    assert verify_in_a_fresh_process["eigensolver_calls"] == []
 
 
 def test_verify_single_check_prints_the_measured_swap_phase(capsys):
@@ -220,12 +214,11 @@ def test_simulate_rejects_non_finite_amplitudes(capsys, state):
     assert "is not finite" in captured.err
 
 
-def test_simulate_rejects_overflowing_amplitudes_with_one_line():
+def test_simulate_rejects_overflowing_amplitudes_with_one_line(capfd, recwarn):
     # squaring 1e200 overflows; numpy's warning must not reach stderr
-    done = run_spinlogic("simulate", "--gate", "F", "--state", "1e200,0", "0,0")
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == "amplitudes not normalized: sum |c|^2 = inf\n"
+    assert run_cli("simulate", "--gate", "F", "--state", "1e200,0", "0,0") == 2
+    assert capfd.readouterr() == ("", "amplitudes not normalized: sum |c|^2 = inf\n")
+    assert [str(warning.message) for warning in recwarn] == []
 
 
 # ---------------------------------------------------------------- schedules
@@ -321,10 +314,12 @@ def test_a_swapped_mode_release_sweep_passes(tmp_path, capsys, monkeypatch, swap
 
 @pytest.mark.parametrize(("grid", "refusal"), [("1e-3,1e-3,1e-3", "needs at least 2 distinct epsilons, got 1"),
                                                ("1e-3,1e-3,1.001e-3", "is ill-conditioned: log amplitude")])
-def test_a_degenerate_grid_refuses_the_fit_without_warnings(tmp_path, grid, refusal):
-    done = run_spinlogic("sweep", "--eps", grid, "--n-runs", "5", "--out", str(tmp_path / "dup.csv"))
-    assert done.returncode == 0 and done.stderr == ""
-    assert f"fit refused for channel P: power-law fit {refusal}" in done.stdout
+def test_a_degenerate_grid_refuses_the_fit_without_warnings(tmp_path, capfd, recwarn, grid, refusal):
+    assert run_cli("sweep", "--eps", grid, "--n-runs", "5", "--out", str(tmp_path / "dup.csv")) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert f"fit refused for channel P: power-law fit {refusal}" in out
+    assert [str(warning.message) for warning in recwarn] == []
 
 
 def test_sweep_to_a_missing_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):
@@ -359,23 +354,23 @@ def test_sweep_over_an_empty_grid_is_bad_input(tmp_path, capsys):
     ],
     ids=["nan-phases", "infinite-draw", "eps-max-inf", "eps-max-nan", "eps-min-zero"],
 )
-def test_sweep_rejects_an_unusable_epsilon_with_one_line(tmp_path, argv, message):
-    done = run_spinlogic("sweep", *argv, "--n-runs", "20", "--out", str(tmp_path / "sweep.csv"))
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == message + "\n"
+def test_sweep_rejects_an_unusable_epsilon_with_one_line(tmp_path, capfd, recwarn, argv, message):
+    assert run_cli("sweep", *argv, "--n-runs", "20", "--out", str(tmp_path / "sweep.csv")) == 2
+    assert capfd.readouterr() == ("", message + "\n")
+    assert [str(warning.message) for warning in recwarn] == []
 
 
 @pytest.mark.parametrize("argv", [["--eps", "1e-3", "--n-runs", str(10**15)], ["--eps-points", str(10**15)]],
                          ids=["n-runs", "eps-points"])
-def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, argv):
+def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, capfd, recwarn, argv):
     # 10**15 float64s are 7 PiB, past the address space, so numpy refuses before allocating
     out = tmp_path / "huge.csv"
-    done = run_spinlogic("sweep", *argv, "--out", str(out))
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and "Unable to allocate" in done.stderr
+    assert run_cli("sweep", *argv, "--out", str(out)) == 2
+    stdout, stderr = capfd.readouterr()
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and "Unable to allocate" in stderr
     assert not out.exists()
+    assert [str(warning.message) for warning in recwarn] == []
 
 
 @pytest.mark.parametrize(
@@ -483,13 +478,14 @@ def test_every_config_key_matches_its_flag(tmp_path, capsys):
     values = {"eps-min": "1e-3", "eps-max": "4e-3", "eps-points": "3", "n-runs": "15", "seed": "42",
               "p-mode": "independent", "q-mode": "common"}
     config = tmp_path / "run.cfg"
-    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
-                      + f"out = {tmp_path / 'cfg.csv'}\n")
+    # a "#" after whitespace starts a comment; inside a value it is kept
+    config.write_text("".join(f"{key} = {value} # as --{key}\n" for key, value in values.items())
+                      + f"out = {tmp_path / 'cfg#1.csv'}\n")
     assert run_cli("sweep", "--config", str(config)) == 0
     flags = [item for key, value in values.items() for item in (f"--{key}", value)]
     assert run_cli("sweep", *flags, "--out", str(tmp_path / "flags.csv")) == 0
     capsys.readouterr()
-    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    assert (tmp_path / "cfg#1.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 def test_config_rejects_a_bad_mode_with_one_line(tmp_path, capsys):

@@ -1,11 +1,7 @@
 import dataclasses
 import json
 import math
-import os
-import pathlib
 import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -596,12 +592,11 @@ for n, modes in ((n, modes) for n in (256, 40, 37) for modes in (("common", "ind
      {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
     ids=["openblas-prescott", "openblas-haswell", "numpy-without-avx512-icl"],
 )
-def test_a_chunk_equals_its_trials_alone_under_other_kernels(env):
-    """Other BLAS and numpy SIMD kernels round differently, but a chunk still rounds as its trials do alone."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env}
-    done = subprocess.run([sys.executable, "-c", _CHUNK_EQUALS_ITS_TRIALS_ALONE],
-                          capture_output=True, text=True, env=env, timeout=60)
+def test_a_chunk_equals_its_trials_alone_under_other_kernels(env, fresh_python):
+    """Other BLAS and numpy SIMD kernels round differently, but a chunk still rounds as its trials do alone.
+
+    OpenBLAS and numpy read these settings when they load, so each needs a process of its own."""
+    done = fresh_python("-c", _CHUNK_EQUALS_ITS_TRIALS_ALONE, **env)
     assert done.returncode == 0, done.stderr
 
 
