@@ -31,6 +31,8 @@ import numpy as np
 
 MAX_SECTOR_SPINS = 10
 MAX_FULL_SPINS = 8
+# swap_coefficients' constants as 0-d arrays, which a ufunc takes without converting a Python float each call
+_PI, _HALF, _PERIOD = np.array(np.pi), np.array(0.5), np.array(4.0)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NaN. Only real multiplies follow the trigonometry, so an entry's bits do
     not depend on its place in the array.
     """
-    angle = np.pi * np.fmod(durations, 4.0)
-    half = 0.5 * angle
+    angle = _PI * np.fmod(durations, _PERIOD)
+    half = _HALF * angle
     cos, sin, half_cos, half_sin = np.cos(angle), np.sin(angle), np.cos(half), np.sin(half)
     c, s = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
     c.real, c.imag = half_cos * cos, half_sin * cos

@@ -36,19 +36,22 @@ gates.simulate): an elementwise multiply-add on a gather, with no BLAS. P
 keeps the eigenbasis (_p_factors) until a re-recorded benchmark reference
 admits new bits: float64 P at the smallest epsilon is rounding-limited, and
 the closed form moves its fitted amplitude by about 1 %. Its chunk is one
-(dim, W) array, zero-padded to a fixed width W, and each pulse is two real
-gemms by V^T and V on its float64 view with the phases multiplied in between.
-A channel in common mode draws one (n, 1) column of durations that every
-pulse shares, so Q's coefficients, or P's phases exp(-i lambda t) (every bond
-of the sector has one spectrum), are computed once per chunk instead of once
-per pulse. Each trial's reductions read only its own column, so a trial gives
-the same bits in any chunk and in either duration layout.
+(dim, W) array, zero-padded to W, the trials it holds rounded up to a
+multiple of 16 (_P_GRANULE), and each pulse is two real gemms by V^T and V on
+its float64 view with the phases multiplied in between. P's phases
+exp(-i lambda t) (every bond of the sector has one spectrum) are one np.exp
+per chunk over the distinct eigenvalues. A channel in common mode draws one
+(n, 1) column of durations that every pulse shares, so Q's coefficients are
+computed, and P's phases spread to the chunk's rows, once per chunk instead
+of once per pulse. Each trial's reductions read only its own column, so a
+trial gives the same bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
 neither on the order in which trials run nor on how they are chunked. A sweep
 computes those seeds a chunk at a time with SeedSequence's hash on uint32
-arrays (_substream_states), which a test checks against SeedSequence itself.
+arrays (_substream_states, which mixes each pool word into the other three
+as one (3, n) operation), and a test checks them against SeedSequence itself.
 Q's path calls no BLAS, so its columns keep their bytes under any OpenBLAS
 kernel; P's gemms do not, and turning off numpy's AVX512 loops changes Q's.
 """
@@ -69,8 +72,13 @@ DEFAULT_SEED = 123456789
 DEFAULT_N_RUNS = 1000
 DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-4, 1e-2, 8))
 OVERLAP_FLOOR = 1e-6
-# trials a sweep evolves together, and the multiple of it that P's gemms are zero-padded to; no result depends on it
+# trials a sweep evolves together; no result depends on it
 CHUNK_TRIALS = 256
+# P's chunk is zero-padded to a multiple of this many trials. A real gemm by a 15 x 15 factor on the (15, 2W) float64
+# view of W trials gave every column the same bits at every even W from 2 to 512 under OpenBLAS's SkylakeX, Haswell,
+# Sandybridge and Prescott kernels, while odd W (1, 37, 125) round the tail columns differently under Haswell and
+# Prescott. 16, not 2, keeps 2W a multiple of 32: a margin for kernels with wider column blocks than these four.
+_P_GRANULE = 16
 
 NOISE_MODES = ("independent", "common")
 DEFAULT_P_MODE, DEFAULT_Q_MODE = "common", "independent"
@@ -182,6 +190,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32, _XSHIFT = 0xFFFFFFFF, np.uint32(16)
+# row i: the three pool words other than word i, which word i is mixed into
+_OTHER_WORDS = ~np.eye(_POOL_SIZE, dtype=bool)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -190,6 +200,16 @@ def _uint32_words(n: int) -> list[int]:
     while n := n >> 32:
         words.append(n & _MASK32)
     return words
+
+
+@cache
+def _hash_constants(init: int, mult: int, n_calls: int) -> np.ndarray:
+    """The constants of n_calls successive hashes, an (n_calls + 1, 1) uint32 column: hash t xors constant t and
+    multiplies by constant t + 1, each constant the last times mult modulo 2**32."""
+    constants = [init]
+    for _ in range(n_calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
 
 
 def _substream_states(seed: int, eps_index: int, trials: range) -> np.ndarray:
@@ -206,49 +226,52 @@ def _substream_states(seed: int, eps_index: int, trials: range) -> np.ndarray:
         n_words = len(_uint32_words(start))
         stop = min(trials.stop, 1 << 32 * n_words)
         block = np.arange(start, stop, dtype=np.uint64)  # trial indices index arrays, so they are below 2**64
-        entropy = ([np.full(len(block), word, dtype=np.uint32) for word in prefix]
-                   + [(block >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)])
+        entropy = np.empty((len(prefix) + n_words, len(block)), dtype=np.uint32)
+        entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+        entropy[len(prefix):] = (block >> np.arange(0, 32 * n_words, 32, dtype=np.uint64)[:, None]).astype(np.uint32)
         states[row:row + len(block)] = _generate_state(_mix_entropy(entropy))
         row, start = row + len(block), stop
     return states
 
 
-def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy: the pool of _POOL_SIZE words from the entropy words, each a uint32 array."""
-    hash_const = _INIT_A
+def _hashmix(value: np.ndarray, constants: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashes first, ..., first + count - 1 of value, one output row each."""
+    value = (value ^ constants[first:first + count]) * constants[first + 1:first + count + 1]
+    return value ^ (value >> _XSHIFT)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
 
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.mix_entropy: the (_POOL_SIZE, n) pool from a (words, n) uint32 array of entropy words.
+
+    Mixing pool word i into the other three hashes it three times, with three
+    successive constants, and leaves it unchanged, so those three words are
+    mixed as one (3, n) operation.
+    """
+    # one hash per pool word, three per pool word mixed into the others, one per pool word for each word past it
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, len(entropy)))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, constants, 0, _POOL_SIZE)
+    call = _POOL_SIZE
+    for src, others in enumerate(_OTHER_WORDS):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], constants, call, 3))
+        call += 3
     for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        pool = _mix(pool, _hashmix(word, constants, call, _POOL_SIZE))
+        call += _POOL_SIZE
     return pool
 
 
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(4, np.uint64) from a pool: 8 hashed words, read in little-endian pairs."""
-    consts = [_INIT_B]
-    for _ in range(8):
-        consts.append(consts[-1] * _MULT_B & _MASK32)
-    cycled = np.stack([pool[k % _POOL_SIZE] for k in range(8)], axis=1)
-    words = (cycled ^ np.array(consts[:-1], dtype=np.uint32)) * np.array(consts[1:], dtype=np.uint32)
-    words ^= words >> _XSHIFT
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) from a (_POOL_SIZE, n) pool: 8 hashed words, read in
+    little-endian pairs, one row of 4 per trial."""
+    words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def probability_error(initial_index: int, perturbed: PulseSequence) -> float:
@@ -286,6 +309,18 @@ def _phase_errors(targets: np.ndarray, evolved: np.ndarray) -> tuple[np.ndarray,
     diffs = np.abs(phases[:, :, None] - phases[:, None, :])
     spreads = np.minimum(diffs, 2 * math.pi - diffs).max(axis=(1, 2))
     return np.where(defined, spreads, math.nan), defined
+
+
+def _squared_norms(chunk: np.ndarray) -> np.ndarray:
+    """The squared norm of each column of a complex (dim, ..., n) chunk, as sum(re**2) + sum(im**2) over dim.
+
+    One einsum on the float64 view, with no complex temporaries. A lone trial's
+    view still has two columns, re and im, so its sums over dim are not
+    collapsed into numpy's pairwise 1-D sum and round as in any chunk.
+    """
+    parts = chunk.view(np.float64)
+    sums = np.einsum("i...,i...->...", parts, parts)
+    return sums[..., 0::2] + sums[..., 1::2]
 
 
 def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -350,28 +385,32 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     P evolves logical product initial[j] for durations p_durations[j] in column
     j of a (dim, W) chunk by V exp(-i lambda t) V^T (_p_factors): per pulse, two
     real gemms on the chunk's float64 view and the phases multiplied in between.
-    The chunk is zero-padded to W, a multiple of CHUNK_TRIALS, because a gemm's
-    columns round alike only at a fixed width (its tail columns, and a gemv for
-    one column, round differently). Q evolves all four products for
-    q_durations[j] in a (dim, 4, n) chunk, trial j in [..., j], by chain.evolve
-    in place. Each durations array has one column per pulse, or one column
-    that every pulse shares (common mode, as _draws gives it): then P's phases
-    and Q's coefficients are computed once per chunk instead of once per
-    pulse, the same bits. Every reduction reads each trial's column alone, so
+    The chunk is zero-padded to W, n rounded up to a multiple of _P_GRANULE,
+    because a gemm's columns round alike only at some widths (an odd W rounds
+    its tail columns differently under some OpenBLAS kernels); so a lone trial
+    pays for 16 columns, not CHUNK_TRIALS. The phases exp(-i lambda t) of each
+    distinct eigenvalue are one np.exp per chunk, spread to the chunk's rows
+    per pulse. Q evolves all four products for q_durations[j] in a
+    (dim, 4, n) chunk, trial j in [..., j], by chain.evolve in place. Each
+    durations array has one column per pulse, or one column that every pulse
+    shares (common mode, as _draws gives it): then P's phases are spread and
+    Q's coefficients computed once per chunk instead of once per pulse, the
+    same bits. Every reduction reads each trial's column alone, so
     no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
     factors, minus_i_values, spread = _p_factors()
-    if p_durations.shape[1] not in (1, len(bonds)):
-        raise ValueError(f"{p_durations.shape[1]} P durations for {len(bonds)} bonds")
+    if (width := p_durations.shape[1]) not in (1, len(bonds)):
+        raise ValueError(f"{width} P durations for {len(bonds)} bonds")
     n = len(initial)
-    psi = np.zeros((frame.vectors.shape[0], CHUNK_TRIALS * math.ceil(n / CHUNK_TRIALS)), dtype=np.complex128)
+    psi = np.zeros((frame.vectors.shape[0], _P_GRANULE * math.ceil(n / _P_GRANULE)), dtype=np.complex128)
     psi[:, :n] = frame.vectors[:, initial]
     rotated = np.empty_like(psi)
+    distinct = np.exp(minus_i_values[:, None, None] * p_durations.T)  # (eigenvalues, width, n)
     for k, bond in enumerate(bonds):
-        if k < p_durations.shape[1]:  # a shared column's phases serve every pulse
-            phases = np.exp(minus_i_values[:, None] * p_durations[:, k])[spread]  # (dim, n)
+        if k < width:  # a shared column's phases serve every pulse
+            phases = distinct[:, k][spread]  # (dim, n)
         vectors, transpose = factors[bond]
         np.matmul(transpose, psi.view(np.float64), out=rotated.view(np.float64))
         np.multiply(phases, rotated[:, :n], out=rotated[:, :n])
@@ -379,8 +418,7 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     psi = psi[:, :n]
     evolved = np.repeat(frame.vectors[:, :4, None], n, axis=2)
     chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
-    # einsum, not sum(axis=0), which turns a lone trial's (dim, 1) sum into a pairwise 1-D one that rounds differently
-    squared_norms = np.vstack([np.einsum("ij,ij->j", psi.conj(), psi).real, (evolved.conj() * evolved).real.sum(axis=0)])
+    squared_norms = np.vstack([_squared_norms(psi), _squared_norms(evolved)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,
             np.abs(np.sqrt(squared_norms) - 1.0).max(axis=0))

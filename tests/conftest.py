@@ -47,7 +47,8 @@ def textbook_pulse():
 
     Shares no cache with chain.apply_bond_pulse or chain.evolve, which it is the reference for: its eigensystems are
     computed once per (bond, n_spins, n_excitations) and kept in this closure.
-    Takes a vector or a (dim, m) column block.
+    Takes a vector or a (dim, m) column block. The products are einsums, not @, which sends a matvec to OpenBLAS:
+    with its threads enabled, one 64-dim matvec took milliseconds on a loaded two-core machine.
     """
     eigensystems = {}
 
@@ -58,7 +59,7 @@ def textbook_pulse():
         values, vectors = eigensystems[key]
         phases = np.exp(-1j * values * t)
         weights = phases if state.ndim == 1 else phases[:, None]
-        return vectors @ (weights * (vectors.conj().T @ state))
+        return np.einsum("ij,j...->i...", vectors, weights * np.einsum("ji,j...->i...", vectors.conj(), state))
     return pulse
 
 

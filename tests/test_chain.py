@@ -191,8 +191,8 @@ def _space(n_spins, n_excitations):
 
 # The closed form against the eigenbasis: over seeds 0..199 of N(0, 1) + i N(0, 1)
 # entries on each space and bond, at the five finite durations below, the largest
-# entry difference was 4.4e-15 for apply_bond_pulse on vectors and (dim, 5) blocks,
-# and 3.6e-15 for evolve on (dim, 5, 5) chunks. The bound is 1e-14.
+# entry difference was 4.7e-15 for apply_bond_pulse on vectors and (dim, 5) blocks,
+# and 4.0e-15 for evolve on (dim, 5, 5) chunks. The bound is 1e-14.
 SWAP_PULSE_BOUND = 1e-14
 
 

@@ -437,13 +437,11 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-# Q's closed form against the eigenbasis: over trials [17, 0..1999] in both mode
-# pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), the largest |Q - textbook Q|
-# was 1.67e-15; the bound is 4e-15.
+# The kernel against the textbook trial, whose pulses are einsum products: over trials [17, 0..1999] in both mode
+# pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), the largest |Q - textbook Q| was 1.55e-15 (Q's closed form
+# against the eigenbasis) and the largest |P - textbook P| 1.55e-15 (P's real gemms against the textbook's complex
+# products); both bounds are 4e-15. The norm errors differed by at most 6.7e-16.
 TRIAL_BOUND = 4e-15
-# P's real gemms against the textbook's complex gemvs: over trials [17, 0..999] in
-# both mode pairings at eps 0, 1e-4 and 1e-2 (6006 trials), the largest
-# |P - textbook P| was 1.33e-15; the bound is 4e-15.
 P_TRIAL_BOUND = 4e-15
 
 
@@ -575,9 +573,11 @@ def test_batched_probability_errors_match_the_per_trial_formula():
 _CHUNK_EQUALS_ITS_TRIALS_ALONE = """
 import numpy as np
 from spinlogic import noise
-# 256 trials: a full chunk, so P's gemms have no padding columns; 37 trials: the
-# elementwise loops over a chunk's trials end on a partial SIMD vector
-for n, modes in ((n, modes) for n in (256, 40, 37) for modes in (("common", "independent"), ("independent", "common"))):
+# P's chunk is zero-padded to a multiple of 16 trials: 16 and 256 trials need no padding columns, 1 has 15 and 17
+# spills one trial into a second block of 16; 125 is a sweep-fine chunk and 232 the last chunk of a 1000-trial point;
+# at 37 the elementwise loops over a chunk's trials end on a partial SIMD vector
+sizes = (1, 16, 17, 37, 40, 125, 232, 256)
+for n, modes in ((n, modes) for n in sizes for modes in (("common", "independent"), ("independent", "common"))):
     models = [noise.NoiseModel(1e-2, mode) for mode in modes]
     states = np.array([np.random.SeedSequence([5, j]).generate_state(4, np.uint64) for j in range(n)])
     chunk = noise._run_chunk(*noise._draws(*models, states))
