@@ -112,18 +112,22 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- sweep / fit
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:  # a ValueError whose message names no file
+        raise ValueError(f"{path}: {err}") from None
     table = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # as configparser's inline comments: "#" opens one at the start of a line or after whitespace, so a
-            # value such as out = res#1.csv keeps its "#"
-            body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
-            key, value = body.split("=", 1)
-            table[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        # as configparser's inline comments: "#" opens one at the start of a line or after whitespace, so a
+        # value such as out = res#1.csv keeps its "#"
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
+        key, value = body.split("=", 1)
+        table[key.strip().replace("-", "_")] = value.strip()
     return table
 
 

@@ -561,8 +561,11 @@ def csv_text(points: list[SweepPoint]) -> str:
 
 
 def read_csv(path) -> list[SweepPoint]:
-    with open(path, "r") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, "r") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as err:  # a ValueError whose message names no file
+        raise ValueError(f"{path}: {err}") from None
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad sweep CSV: expected header {CSV_HEADER!r}")
     points = []

@@ -242,7 +242,7 @@ def test_bond_generators_are_pi_swap_minus_half_pi(space):
 
 
 @_SPACES
-def test_swap_pulse_matches_the_textbook_pulse(space, textbook_pulse):
+def test_evolve_matches_the_textbook_pulse(space, textbook_pulse):
     # chain.evolve, one pulse per trial of a (dim, 5, n) chunk, against the eigenbasis
     n_spins, _ = space
     sub = _space(*space)

@@ -268,6 +268,13 @@ def test_export_schedule_to_file_and_other_gates(tmp_path, capsys):
     assert run_cli("export-schedule", "--gate", "P") == 2  # theta missing
 
 
+def test_the_bare_flip_schedule_is_the_flips_first_three_pulses(capsys):
+    assert run_cli("export-schedule", "--gate", "F") == 0
+    flip = capsys.readouterr().out.splitlines(keepends=True)
+    assert run_cli("export-schedule", "--gate", "FPH") == 0
+    assert capsys.readouterr().out == "".join(flip[:3])
+
+
 def test_export_schedule_to_a_missing_directory_is_bad_input(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "swap.schedule"
     assert run_cli("export-schedule", "--gate", "SWAP", "--out", str(target)) == 2
@@ -297,6 +304,13 @@ def test_sweep_csv_equals_its_trials_run_alone(tmp_path, lone_trial_sweep):
     out = tmp_path / "a.csv"
     assert run_cli("sweep", "--eps", "1e-3,3e-3", "--n-runs", "24", "--seed", "7", "--out", str(out)) == 0
     assert out.read_text() == noise.csv_text(lone_trial_sweep([1e-3, 3e-3], 24, 7))
+
+
+def test_a_negative_zero_epsilon_sweeps_as_zero_noise(tmp_path, capsys):
+    out = tmp_path / "zero.csv"
+    assert run_cli("sweep", "--eps=-0,1e-3,1e-2", "--n-runs", "5", "--out", str(out)) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["0", "0.001", "0.01"]
+    assert "fit refused for channel P" in capsys.readouterr().out
 
 
 def test_degenerate_sweep_refuses_the_fit(tmp_path, capsys):
@@ -355,9 +369,11 @@ def test_sweep_over_an_empty_grid_is_bad_input(tmp_path, capsys):
     ids=["nan-phases", "infinite-draw", "eps-max-inf", "eps-max-nan", "eps-min-zero"],
 )
 def test_sweep_rejects_an_unusable_epsilon_with_one_line(tmp_path, capfd, recwarn, argv, message):
-    assert run_cli("sweep", *argv, "--n-runs", "20", "--out", str(tmp_path / "sweep.csv")) == 2
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", *argv, "--n-runs", "20", "--out", str(out)) == 2
     assert capfd.readouterr() == ("", message + "\n")
     assert [str(warning.message) for warning in recwarn] == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--eps", "1e-3", "--n-runs", str(10**15)], ["--eps-points", str(10**15)]],
@@ -378,20 +394,21 @@ def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, capfd, recwarn, ar
     [
         (["--eps", "1e-3,abc"], None, "--eps: could not convert string to float: 'abc'"),
         (["--eps", "1e-3,,2e-3"], None, "--eps: could not convert string to float: ''"),
-        ([], "eps = 1e-3,abc", "{config}: eps: could not convert string to float: 'abc'"),
+        ([], b"eps = 1e-3,abc\n", "{config}: eps: could not convert string to float: 'abc'"),
         (["--n-runs", "abc"], None, "--n-runs: invalid literal for int() with base 10: 'abc'"),
         (["--eps-points", "-1"], None, "eps-points must be nonnegative, got -1"),
-        ([], "eps-points = -1", "eps-points must be nonnegative, got -1"),
+        ([], b"eps-points = -1\n", "eps-points must be nonnegative, got -1"),
         (["--eps", "1e-3", "--p-mode", "nope"], None, f"mode must be one of {noise.NOISE_MODES}, got 'nope'"),
+        ([], b"\x80eps = 1e-3\n", "{config}: 'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
     ],
     ids=["eps-flag", "eps-flag-empty-item", "eps-config", "n-runs-flag", "eps-points-flag", "eps-points-config",
-         "p-mode-flag"],
+         "p-mode-flag", "config-not-text"],
 )
 def test_a_bad_sweep_setting_is_one_line_naming_it(tmp_path, capsys, argv, config, message):
     out = tmp_path / "sweep.csv"
     if config is not None:
         path = tmp_path / "run.cfg"
-        path.write_text(config + "\n")
+        path.write_bytes(config)
         argv = [*argv, "--config", str(path)]
         message = message.format(config=path)
     assert run_cli("sweep", *argv, "--out", str(out)) == 2
@@ -576,3 +593,25 @@ def test_fit_rejects_a_row_no_sweep_writes(tmp_path, capsys, row):
 
 def test_fit_command_rejects_missing_file(capsys):
     assert run_cli("fit", "--csv", "/nonexistent/sweep.csv") == 2
+
+
+def test_fit_rejects_a_csv_that_is_not_text_with_one_line_naming_it(tmp_path, capsys):
+    csv = tmp_path / "sweep.csv"
+    csv.write_bytes(b"\x80" + noise.CSV_HEADER.encode() + b"\n")
+    assert run_cli("fit", "--csv", str(csv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{csv}: 'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"]
+
+
+def test_fit_prints_what_the_release_sweep_printed_after_its_header(tmp_path, capsys, monkeypatch):
+    """fit on the CSV a sweep wrote gives the sweep's own report: every line after seed, modes and "wrote"."""
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    csv = tmp_path / "release.csv"
+    assert run_cli("sweep", "--out", str(csv)) == 0
+    swept = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in swept[:3]] == ["seed", "modes:", "wrote"]
+    assert run_cli("fit", "--csv", str(csv)) == 0
+    refit = capsys.readouterr().out.splitlines()
+    assert refit == swept[3:]
+    assert [json.loads(line)["channel"] for line in refit if line.startswith("{")] == ["P", "Q"]

@@ -387,7 +387,7 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     operator, and a huge duration does not overflow lambda * t. The norm error
     is the implementation's own rounding, so it is taken over Q's columns
     evolved by the closed form c + s S_k, one trial and one pulse at a time;
-    test_swap_pulse_matches_the_textbook_pulse pins that form to the eigenbasis.
+    test_evolve_matches_the_textbook_pulse pins that form to the eigenbasis.
     """
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
@@ -447,7 +447,7 @@ P_TRIAL_BOUND = 4e-15
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
 @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: P's lambda * t overflows; Q's pulses are identities
-def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
+def test_chunk_trials_match_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
     """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's defined bits, its P to
     P_TRIAL_BOUND, its norm error to 1e-15 and its Q to TRIAL_BOUND, with NaN where the textbook has NaN; the chunk
     and the lone trial agree bit for bit.
@@ -471,6 +471,31 @@ def test_run_trial_is_bitwise_the_textbook_trial(p_mode, q_mode, eps, textbook_p
             assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
     if eps == 3e307:
         assert not chunk[2].any() and not np.isfinite(chunk[0]).all()
+
+
+# P's floor. eigh's V holds +-0.7071067811865475 and +-1, so diag(V V^T) - 1 = -2.2e-16 on 8 of the 15 rows of every
+# bond: P's eigenbasis step loses norm, and at eps = 0 the four products end with P = 2.0-3.4e-15, not 0. Over those
+# four and 5000 common-mode trials at eps = 1e-6 (sweep seeds 0-4, exact P about 2e-21), P differed from its column's
+# norm loss 1 - (1 - norm error)^2 by at most 8.9e-16 under OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott
+# kernels and with numpy's AVX512 loops off. The bound is 1.5e-15.
+P_FLOOR_BOUND = 1.5e-15
+
+
+def test_p_floor_is_the_eigenbasis_steps_norm_loss():
+    """Where the exact P is far below rounding, P is the norm its column lost. Q's durations are exactly 1/2, whose
+    columns lose at most 6.7e-16 of squared norm, so the returned norm error, the largest over a trial's columns, is
+    P's column's wherever P's column lost more."""
+    for vectors, _ in noise._p_factors()[0]:
+        rows = np.einsum("ij,ij->i", vectors, vectors)
+        assert (rows <= 1).all() and (rows < 1).any()
+    half = np.full((4, 1), 0.5)
+    p_values, _, _, norm_errors = noise._run_chunk([0, 1, 2, 3], half, half)
+    assert (p_values > P_FLOOR_BOUND).all()
+    assert np.abs(p_values - (1 - (1 - norm_errors) ** 2)).max() <= P_FLOOR_BOUND
+    model = noise.NoiseModel(1e-6, "common")
+    initial, p_durations, q_durations = noise._draws(model, model, noise._substream_states(0, 0, range(1000)))
+    p_values, _, _, norm_errors = noise._run_chunk(initial, p_durations, np.full_like(q_durations, 0.5))
+    assert np.abs(p_values - (1 - (1 - norm_errors) ** 2)).max() <= P_FLOOR_BOUND
 
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
