@@ -138,7 +138,7 @@ def bond_generator(bond: int, subspace: Subspace) -> np.ndarray:
 
 
 def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """exp(-i V_bond t) applied to a copy of a vector or a (dim, m) column block, by evolve's closed form."""
+    """exp(-i V_bond t) on a copy of a vector or (dim, m) block, by evolve; kept for bench/ and the tests only."""
     psi = np.array(state, dtype=np.complex128)
     evolve((bond,), (duration,), psi, subspace)
     return psi

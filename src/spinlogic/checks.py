@@ -115,8 +115,8 @@ def phase_gate() -> float:
 
 
 def spin_swap_phase() -> float:
-    sub = chain.full_space(2)
-    u = chain.apply_bond_pulse(0, 0.5, np.eye(4, dtype=np.complex128), sub)
+    u = np.eye(4, dtype=np.complex128)
+    chain.evolve((0,), (0.5,), u, chain.full_space(2))
     # the two spins trade places: patterns 01 and 10 exchange, 00 and 11 stay
     expect = cmath.exp(1j * gates.SPIN_SWAP_PHASE) * np.eye(4)[[0, 2, 1, 3]]
     return float(np.abs(u - expect).max())

@@ -138,7 +138,8 @@ def _grid(text: str) -> list[float]:
 _MODES = " or ".join(noise.NOISE_MODES)
 # every sweep setting: the converter of its text (flag, config file or environment), its default, its help
 _SWEEP_SETTINGS = {
-    "eps": (_grid, None, "comma-separated noise strengths (overrides the log grid)"),
+    "eps": (_grid, None, "comma-separated noise strengths (overrides the log grid); a grid that starts with a "
+            "minus sign takes the --eps=-0,1e-3 form"),
     "eps_min": (float, noise.DEFAULT_EPS_GRID[0], "smallest noise strength of the log grid"),
     "eps_max": (float, noise.DEFAULT_EPS_GRID[-1], "largest noise strength of the log grid"),
     "eps_points": (int, len(noise.DEFAULT_EPS_GRID), "number of noise strengths in the log grid"),

@@ -38,13 +38,13 @@ admits new bits: float64 P at the smallest epsilon is rounding-limited, and
 the closed form moves its fitted amplitude by about 1 %. Its chunk is one
 (dim, W) array, zero-padded to W, the trials it holds rounded up to a
 multiple of 16 (_P_GRANULE), and each pulse is two real gemms by V^T and V on
-its float64 view with the phases multiplied in between. P's phases
-exp(-i lambda t) (every bond of the sector has one spectrum) are one np.exp
-per chunk over the distinct eigenvalues. A channel in common mode draws one
-(n, 1) column of durations that every pulse shares, so Q's coefficients are
-computed, and P's phases spread to the chunk's rows, once per chunk instead
-of once per pulse. Each trial's reductions read only its own column, so a
-trial gives the same bits in any chunk and in either duration layout.
+its float64 view with one kick in between on the rows of the bond's four
+singlets: the pulse is a phase that neither P nor the norm reads times
+1 + (exp(2 pi i t) - 1) P_k, P_k the projector on those singlets. A channel in
+common mode draws one (n, 1) column of durations that every pulse shares, so
+Q's coefficients and P's kicks are computed once per chunk instead of once
+per pulse. Each trial's reductions read only its own column, so a trial
+gives the same bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
 that SeedSequence([seed, eps_index, trial_index]) seeds, so results depend
@@ -79,6 +79,8 @@ CHUNK_TRIALS = 256
 # Sandybridge and Prescott kernels, while odd W (1, 37, 125) round the tail columns differently under Haswell and
 # Prescott. 16, not 2, keeps 2W a multiple of 32: a margin for kernels with wider column blocks than these four.
 _P_GRANULE = 16
+# -1j times each bond's eigenvalue on its singlets and on the rest: P's kick is exp(first) * conj(exp(second))
+_MINUS_I_LAMBDA = -1j * np.array([-1.5 * math.pi, 0.5 * math.pi])
 
 NOISE_MODES = ("independent", "common")
 DEFAULT_P_MODE, DEFAULT_Q_MODE = "common", "independent"
@@ -354,28 +356,18 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tupl
 
 
 @cache
-def _p_factors() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
-    """P's pulse factors on the sweep's sector: per bond V and V^T, and the one spectrum of every bond.
+def _p_factors() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """P's pulse factors on the sweep's sector: per bond, eigh's V and V^T.
 
-    V and V^T are real float64 C-ordered copies of eigh's vectors and of their
+    They are real float64 C-ordered copies of eigh's vectors and of their
     transpose (the generators are real symmetric, so V^dagger = V^T): one real
     gemm on a complex chunk's interleaved float64 view applies them to both
-    parts. The spectrum is -1j * each distinct eigenvalue, told apart by its
-    bits, and the index spreading them back. Every bond has pi/2 and, C(4, 1)
-    times, -3 pi/2; one spectrum's phases serve all bonds, so the build refuses
-    unless all their bits agree.
+    parts. eigh lists a bond's -3 pi/2 eigenvalues, those of its singlets,
+    before its pi/2 ones, and _run_chunk kicks those first rows.
     """
-    factors, spectra = [], set()
-    for generator in _lab()[0].subspace.bond_generators:
-        values, vectors = linalg.eig_hermitian(generator)
-        bits, spread = np.unique(values.view(np.uint64), return_inverse=True)
-        spread = spread.ravel()  # np.unique's inverse took the input's shape in some numpy 2.0.x releases
-        spectra.add((bits.tobytes(), spread.tobytes()))
-        factors.append((np.ascontiguousarray(vectors, dtype=np.float64),
-                        np.ascontiguousarray(vectors.T, dtype=np.float64)))
-    if len(spectra) != 1:
-        raise RuntimeError(f"P's bonds have {len(spectra)} spectra, bit for bit, where its phases need one")
-    return tuple(factors), -1j * bits.view(np.float64), spread
+    vectors = (linalg.eig_hermitian(generator)[1] for generator in _lab()[0].subspace.bond_generators)
+    return tuple((np.ascontiguousarray(v, dtype=np.float64), np.ascontiguousarray(v.T, dtype=np.float64))
+                 for v in vectors)
 
 
 def _run_chunk(initial: list[int], p_durations: np.ndarray,
@@ -383,41 +375,43 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     """P, Q, whether Q is defined, and the norm error of trials j = 0..n-1, evolved together.
 
     P evolves logical product initial[j] for durations p_durations[j] in column
-    j of a (dim, W) chunk by V exp(-i lambda t) V^T (_p_factors): per pulse, two
-    real gemms on the chunk's float64 view and the phases multiplied in between.
-    The chunk is zero-padded to W, n rounded up to a multiple of _P_GRANULE,
-    because a gemm's columns round alike only at some widths (an odd W rounds
-    its tail columns differently under some OpenBLAS kernels); so a lone trial
-    pays for 16 columns, not CHUNK_TRIALS. The phases exp(-i lambda t) of each
-    distinct eigenvalue are one np.exp per chunk, spread to the chunk's rows
-    per pulse. Q evolves all four products for q_durations[j] in a
-    (dim, 4, n) chunk, trial j in [..., j], by chain.evolve in place. Each
-    durations array has one column per pulse, or one column that every pulse
-    shares (common mode, as _draws gives it): then P's phases are spread and
-    Q's coefficients computed once per chunk instead of once per pulse, the
-    same bits. Every reduction reads each trial's column alone, so
+    j of a (dim, W) chunk: per pulse, two real gemms by V^T and V (_p_factors)
+    on the chunk's float64 view, and in between the rows of the bond's singlets
+    times one kick, exp(-i lambda_- t) conj(exp(-i lambda_+ t)) with lambda_- =
+    -3 pi/2 and lambda_+ = pi/2, which is finite up to t = 3.8e307 (exp(2 pi i t)
+    would overflow from 2.9e307). The chunk is zero-padded to W, n rounded up
+    to a multiple of _P_GRANULE, because a gemm's columns round alike only at
+    some widths (an odd W rounds its tail columns differently under some
+    OpenBLAS kernels); so a lone trial pays for 16 columns, not CHUNK_TRIALS.
+    Q evolves all four products for q_durations[j] in a (dim, 4, n) chunk,
+    trial j in [..., j], by chain.evolve in place. Each durations array has one
+    column per pulse, or one column that every pulse shares (common mode, as
+    _draws gives it): then P's kicks and Q's coefficients are computed once per
+    chunk, the same bits. Every reduction reads each trial's column alone, so
     no result depends on the chunk. NaN or infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
-    factors, minus_i_values, spread = _p_factors()
+    sector, factors = frame.subspace, _p_factors()
     if (width := p_durations.shape[1]) not in (1, len(bonds)):
         raise ValueError(f"{width} P durations for {len(bonds)} bonds")
     n = len(initial)
-    psi = np.zeros((frame.vectors.shape[0], _P_GRANULE * math.ceil(n / _P_GRANULE)), dtype=np.complex128)
+    psi = np.zeros((sector.dim, _P_GRANULE * math.ceil(n / _P_GRANULE)), dtype=np.complex128)
     psi[:, :n] = frame.vectors[:, initial]
     rotated = np.empty_like(psi)
-    distinct = np.exp(minus_i_values[:, None, None] * p_durations.T)  # (eigenvalues, width, n)
+    singlets = math.comb(sector.n_spins - 2, sector.n_excitations - 1)  # a bond's: one excitation on its two spins
+    phases = np.exp(_MINUS_I_LAMBDA[:, None, None] * p_durations.T)  # (2, width, n)
+    kicks = phases[0] * phases[1].conj()
     for k, bond in enumerate(bonds):
-        if k < width:  # a shared column's phases serve every pulse
-            phases = distinct[:, k][spread]  # (dim, n)
+        if k < width:  # a shared column's kick serves every pulse
+            kick = kicks[k]
         vectors, transpose = factors[bond]
         np.matmul(transpose, psi.view(np.float64), out=rotated.view(np.float64))
-        np.multiply(phases, rotated[:, :n], out=rotated[:, :n])
+        rotated[:singlets, :n] *= kick
         np.matmul(vectors, rotated.view(np.float64), out=psi.view(np.float64))
     psi = psi[:, :n]
     evolved = np.repeat(frame.vectors[:, :4, None], n, axis=2)
-    chain.evolve(bonds, q_durations.T, evolved, frame.subspace)
+    chain.evolve(bonds, q_durations.T, evolved, sector)
     squared_norms = np.vstack([_squared_norms(psi), _squared_norms(evolved)])
     q_values, defined = _phase_errors(targets, evolved)
     return (_probability_errors(targets, initial, psi), q_values, defined,
@@ -504,8 +498,8 @@ def fit_power_law(points: list[SweepPoint], channel: str) -> PowerFit:
     if keep.sum() < 3:
         raise ValueError(f"power-law fit needs at least 3 positive points, got {int(keep.sum())}")
     eps, means, errs = eps[keep], means[keep], errs[keep]
-    if np.unique(eps).size < 2:
-        raise ValueError(f"power-law fit needs at least 2 distinct epsilons, got {np.unique(eps).size}")
+    if (distinct := len(set(eps.tolist()))) < 2:
+        raise ValueError(f"power-law fit needs at least 2 distinct epsilons, got {distinct}")
     slope, intercept = np.polyfit(np.log(eps), np.log(means), 1)
     if not abs(intercept) < 700:  # a grid too narrow to pin the exponent: exp() would leave the float range
         raise ValueError(f"power-law fit is ill-conditioned: log amplitude {intercept:.4g}")
@@ -567,7 +561,7 @@ def read_csv(path) -> list[SweepPoint]:
     except UnicodeDecodeError as err:  # a ValueError whose message names no file
         raise ValueError(f"{path}: {err}") from None
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"bad sweep CSV: expected header {CSV_HEADER!r}")
+        raise ValueError(f"{path}: bad sweep CSV: expected header {CSV_HEADER!r}")
     points = []
     for line in lines[1:]:
         try:
@@ -586,6 +580,6 @@ def read_csv(path) -> list[SweepPoint]:
                 if not ok:
                     raise ValueError(rule)
         except ValueError as err:
-            raise ValueError(f"bad sweep CSV row: {line!r} ({err})") from None
+            raise ValueError(f"{path}: bad sweep CSV row: {line!r} ({err})") from None
         points.append(p)
     return points

@@ -29,11 +29,12 @@ def run_cli(*argv) -> int:
         (["simulate", "--gate", "P", "--theta", "abc", "--state", "1,0", "0,0"],
          "argument --theta: invalid float value: 'abc'", False),
         (["simulate", "--gate", "X", "--state", "1,0", "0,0"], "argument --gate: invalid choice: 'X'", False),
+        (["sweep", "--eps", "-0,1e-3"], "argument --eps: expected one argument", False),  # --eps=-0,1e-3 works
         (["simulate", "--gate", "P", "--theta", "400", "--degrees", "--state", "1,0", "0,0"],
          "--theta must lie in [0, 360] degrees, got 400.0", False),
     ],
     ids=["verify", "simulate", "sweep", "fit", "export-schedule", "corrupt-t2-text", "theta-text", "unknown-gate",
-         "theta-degrees-range"],
+         "eps-leading-minus", "theta-degrees-range"],
 )
 def test_every_command_reports_bad_input_in_one_line(argv, message, in_child, capsys, fresh_python):
     """Exit 2, no stdout and one stderr line. The cases run through cli.main, where an escaping exception or a
