@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import kernel_variance
 from spinlogic import chain, encoding, linalg, noise
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +26,18 @@ def fresh_python():
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env}
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
     return run
+
+
+@pytest.fixture(scope="session")
+def kernel_outputs(fresh_python, tmp_path_factory):
+    """kernel_variance.compute() per setting: "default" in this process, each of its SETTINGS in a fresh one."""
+    outputs = {"default": kernel_variance.compute()}
+    for setting, env in kernel_variance.SETTINGS.items():
+        path = tmp_path_factory.mktemp(setting) / "outputs.pickle"
+        done = fresh_python(kernel_variance.__file__, str(path), **env)
+        assert done.returncode == 0, f"{setting}: {done.stderr}"
+        outputs[setting] = pickle.loads(path.read_bytes())
+    return outputs
 
 
 @pytest.fixture(scope="session")
@@ -92,8 +106,8 @@ def lone_trial_sweep():
         for i, eps in enumerate(grid):
             p, q, ok, norm = np.empty(n_runs), np.empty(n_runs), np.empty(n_runs, dtype=bool), np.empty(n_runs)
             for j in reversed(range(n_runs)):
-                state = np.random.SeedSequence([seed, i, j]).generate_state(4, np.uint64)
-                draws = noise._draws(noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode), state[None])
+                states = kernel_variance.trial_states([seed, i, j])
+                draws = noise._draws(noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode), states)
                 (p[j],), (q[j],), (ok[j],), (norm[j],) = noise._run_chunk(*draws)
             kept = q[ok]
             std_p, std_q = np.std(p, ddof=1), np.std(kept, ddof=1)

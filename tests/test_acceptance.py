@@ -57,17 +57,17 @@ def test_criterion_7_reproducibility_and_conservation(default_sweep, lone_trial_
     points, _ = default_sweep
     norm_worst = max(p.max_norm_error for p in points)
 
-    clean = noise.sweep([0.0], n_runs=50)[0]
-
     # CHUNK_TRIALS + 3 runs span two chunks: chunking must not move a bit either;
-    # a seed of 2**40 + 3 splits into two 32-bit words
-    identical = all(noise.sweep([3e-4, 3e-3], n_runs=n_runs, seed=seed) == lone_trial_sweep([3e-4, 3e-3], n_runs, seed)
-                    for n_runs, seed in ((40, 1234), (noise.CHUNK_TRIALS + 3, 1234), (40, 2**40 + 3)))
+    # a seed of 2**40 + 3 splits into two 32-bit words; the last run swaps the noise modes
+    runs = ((40, 1234), (noise.CHUNK_TRIALS + 3, 1234), (40, 2**40 + 3), (40, 1234, "independent", "common"))
+    sweeps = [noise.sweep([3e-4, 3e-3], *run) for run in runs]
+    identical = all(got == lone_trial_sweep([3e-4, 3e-3], *run) for got, run in zip(sweeps, runs))
+    seeded = sweeps[0] != sweeps[2]
 
     report(
         7,
-        norm_worst <= 1e-12 and clean.mean_p <= 1e-12 and clean.mean_q <= 1e-12 and identical,
+        norm_worst <= 1e-12 and identical and seeded,
         f"norm conserved every trial (worst {norm_worst:.3e}, bound 1e-12); "
-        f"zero-noise errors {clean.mean_p:.3e}/{clean.mean_q:.3e} (bound 1e-12); "
-        f"sweep equals its trials run alone in reverse order: {identical}",
+        f"sweep equals its trials run alone in reverse order, in both mode pairings: {identical}; "
+        f"another seed gives other points: {seeded}",
     )

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import chain, encoding, gates, linalg, noise
+from kernel_variance import MODE_PAIRINGS, TEXTBOOK_EPSILONS, TEXTBOOK_TRIALS, trial_states
+from spinlogic import chain, encoding, gates, noise
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -130,13 +131,6 @@ def test_zero_noise_sweep_is_clean(eps):
     assert point.max_norm_error < 1e-12
 
 
-def test_sweep_is_deterministic_and_order_independent(lone_trial_sweep):
-    grid = [3e-4, 1e-3, 3e-3]
-    for modes in (("common", "independent"), ("independent", "common")):
-        assert noise.sweep(grid, 40, 2024, *modes) == lone_trial_sweep(grid, 40, 2024, *modes)
-    assert noise.csv_text(noise.sweep(grid, 40, 2024)) != noise.csv_text(noise.sweep(grid, 40, 2025))
-
-
 _SEEDS = (0, 1, 123456789, 2**32 - 1, 2**32, 2**64 + 1, 2**70 + 11)  # of one, two and three 32-bit words
 _EPS_INDICES = (0, 7, 2**32 - 1)
 _TRIALS = (range(300), range(2**31, 2**31 + 1), range(2**32 - 1, 2**32 + 2))  # the last crosses one word to two
@@ -146,7 +140,7 @@ def test_substream_states_are_seed_sequence_states():
     for seed in _SEEDS:
         for i in _EPS_INDICES:
             for trials in _TRIALS:
-                want = [np.random.SeedSequence([seed, i, j]).generate_state(4, np.uint64) for j in trials]
+                want = trial_states(*([seed, i, j] for j in trials))
                 got = noise._substream_states(seed, i, trials)
                 assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, i, trials)
 
@@ -365,17 +359,11 @@ def test_fit_json_shape():
 # ---------------------------------------------------------------- statistics
 
 
-def _trial_states(*entropies):
-    """The seed rows _draws takes, SeedSequence(entropy).generate_state(4, np.uint64) per trial: a trial then draws
-    what default_rng(entropy) draws, whatever _substream_states computes."""
-    return np.array([np.random.SeedSequence(entropy).generate_state(4, np.uint64) for entropy in entropies])
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_trials_conserve_the_norm(seed):
     common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
-    _, _, _, norm_err = noise._run_chunk(*noise._draws(common, independent, _trial_states([seed])))
+    _, _, _, norm_err = noise._run_chunk(*noise._draws(common, independent, trial_states([seed])))
     assert norm_err.item() < 1e-12
 
 
@@ -433,27 +421,23 @@ def test_the_kernel_follows_the_leading_error_laws_on_chosen_durations():
     np.testing.assert_allclose(p_values.reshape(15, 4).mean(axis=1).sum(), 9 * PI**2 * d**2, rtol=1e-4)
 
 
-def _same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 # The kernel against the textbook trial, whose pulses are einsum products: over trials [17, 0..1999] in both mode
-# pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), under OpenBLAS's SkylakeX, Haswell and Prescott kernels, the largest
-# |Q - textbook Q| was 1.55e-15 (Q's closed form against the eigenbasis) and the largest |P - textbook P| 3.0e-15
-# (2.55e-15 under SkylakeX: P's real gemms and singlet kicks against the textbook's complex products and phases on
-# every row); both bounds are 4e-15. The norm errors differed by up to 1.33e-15 (1.22e-15 under SkylakeX), more than
-# the 1e-15 asserted below on the test's 40 trials, where they differed by at most 8.9e-16 under those kernels and
-# Sandybridge.
+# pairings at eps 0, 1e-4 and 1e-2 (12 000 trials), under the five kernel settings of kernel_variance, the largest
+# |Q - textbook Q| was 1.55e-15 under each (Q's closed form against the eigenbasis) and the largest |P - textbook P|
+# 3.0e-15 under Haswell, 2.78e-15 under Prescott and Sandybridge and 2.55e-15 under the default kernel (SkylakeX, on
+# an AVX512 x86-64 CPU) and with numpy's AVX512 loops off (P's real gemms and singlet kicks against the textbook's
+# complex products and phases on every row); both bounds are 4e-15. The norm errors differed by up to 1.33e-15 under
+# Haswell and 1.22e-15 under the other four; NORM_TRIAL_BOUND is 2e-15.
 TRIAL_BOUND = 4e-15
 P_TRIAL_BOUND = 4e-15
+NORM_TRIAL_BOUND = 2e-15
 
 
-@pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
-@pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 3e307])  # 3e307: P's lambda * t overflows; Q's pulses are identities
-def test_chunk_trials_match_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse):
-    """Each trial, run alone and as one of a 40-trial chunk, gives the textbook trial's defined bits, its P to
-    P_TRIAL_BOUND, its norm error to 1e-15 and its Q to TRIAL_BOUND, with NaN where the textbook has NaN; the chunk
-    and the lone trial agree bit for bit.
+@pytest.mark.parametrize(("p_mode", "q_mode"), MODE_PAIRINGS)
+@pytest.mark.parametrize("eps", TEXTBOOK_EPSILONS)
+def test_chunk_trials_match_the_textbook_trial(p_mode, q_mode, eps, textbook_pulse, kernel_outputs):
+    """Under every kernel setting, each trial of a 40-trial chunk gives the textbook trial's defined bits, its P to
+    P_TRIAL_BOUND, its norm error to NORM_TRIAL_BOUND and its Q to TRIAL_BOUND, with NaN where the textbook has NaN.
 
     At 3e307 every duration is a multiple of 4, so each Q pulse is the identity,
     no target overlap is defined and Q is NaN in both; P overflows in some
@@ -461,44 +445,46 @@ def test_chunk_trials_match_the_textbook_trial(p_mode, q_mode, eps, textbook_pul
     """
     p_noise, q_noise = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     with np.errstate(all="ignore"):
-        chunk = noise._run_chunk(*noise._draws(p_noise, q_noise, _trial_states(*([17, trial] for trial in range(40)))))
-        for trial in range(40):
-            want = _textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
-            alone = noise._run_chunk(*noise._draws(p_noise, q_noise, _trial_states([17, trial])))
-            alone = tuple(column.item() for column in alone)
-            got = tuple(column[trial].item() for column in chunk)
-            assert all(_same(a, b) for a, b in zip(got, alone))
-            assert got[2] == want[2]
-            assert _same(got[0], want[0]) or abs(got[0] - want[0]) <= P_TRIAL_BOUND
-            assert _same(got[1], want[1]) or abs(got[1] - want[1]) <= TRIAL_BOUND
-            assert _same(got[3], want[3]) or abs(got[3] - want[3]) <= 1e-15
-    if eps == 3e307:
-        assert not chunk[2].any() and not np.isfinite(chunk[0]).all()
+        wants = np.array([_textbook_trial(p_noise, q_noise, np.random.default_rng([17, trial]), textbook_pulse)
+                          for trial in range(TEXTBOOK_TRIALS)]).T
+    for setting, outputs in kernel_outputs.items():
+        p_values, q_values, defined, norm_errors = outputs["textbook"][p_mode, q_mode, eps]
+        assert np.array_equal(defined, wants[2]), setting
+        for got, want, bound in ((p_values, wants[0], P_TRIAL_BOUND), (q_values, wants[1], TRIAL_BOUND),
+                                 (norm_errors, wants[3], NORM_TRIAL_BOUND)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=bound, err_msg=setting)  # NaN where the textbook has NaN
+        if eps == 3e307:
+            assert not defined.any() and not np.isfinite(p_values).all(), setting
+
+
+def test_q_keeps_its_bytes_under_every_openblas_kernel(kernel_outputs):
+    """Q's path calls no BLAS, so the textbook cases' Q and defined flags are the default kernel's bytes."""
+    default = kernel_outputs["default"]["textbook"]
+    for setting in (setting for setting in kernel_outputs if setting.startswith("openblas")):
+        for case, (_, q_values, defined, _) in kernel_outputs[setting]["textbook"].items():
+            assert q_values.tobytes() == default[case][1].tobytes(), (setting, case)
+            assert defined.tobytes() == default[case][2].tobytes(), (setting, case)
 
 
 # P's floor. eigh's V holds +-0.7071067811865475 and +-1, so diag(V V^T) - 1 = -2.2e-16 on 8 of the 15 rows of every
-# bond: P's eigenbasis step loses norm, and at eps = 0 the four products end with P = 2.2-3.3e-15, not 0. Over those
-# four and 5000 common-mode trials at eps = 1e-6 (sweep seeds 0-4, exact P about 2e-21), P differed from its column's
-# norm loss 1 - (1 - norm error)^2 by at most 1.0e-15 under OpenBLAS's SkylakeX and Haswell kernels and with numpy's
-# AVX512 loops off, and by 7.8e-16 under Sandybridge and Prescott. The bound is 1.5e-15.
+# bond: P's eigenbasis step loses norm, and at eps = 0 the four products end with P = 2.2-3.3e-15, not 0, under each
+# kernel setting. Over those four and 5000 common-mode trials at eps = 1e-6 (sweep seeds 0-4, exact P about 2e-21), P
+# differed from its column's norm loss 1 - (1 - norm error)^2 by at most 1.0e-15 under the default SkylakeX and the
+# Haswell kernels and with numpy's AVX512 loops off, and by 7.8e-16 under Sandybridge and Prescott. The bound is
+# 1.5e-15.
 P_FLOOR_BOUND = 1.5e-15
 
 
-def test_p_floor_is_the_eigenbasis_steps_norm_loss():
-    """Where the exact P is far below rounding, P is the norm its column lost. Q's durations are exactly 1/2, whose
-    columns lose at most 6.7e-16 of squared norm, so the returned norm error, the largest over a trial's columns, is
-    P's column's wherever P's column lost more."""
-    for vectors, _ in noise._p_factors():
-        rows = np.einsum("ij,ij->i", vectors, vectors)
-        assert (rows <= 1).all() and (rows < 1).any()
-    half = np.full((4, 1), 0.5)
-    p_values, _, _, norm_errors = noise._run_chunk([0, 1, 2, 3], half, half)
-    assert (p_values > P_FLOOR_BOUND).all()
-    assert np.abs(p_values - (1 - (1 - norm_errors) ** 2)).max() <= P_FLOOR_BOUND
-    model = noise.NoiseModel(1e-6, "common")
-    initial, p_durations, q_durations = noise._draws(model, model, noise._substream_states(0, 0, range(1000)))
-    p_values, _, _, norm_errors = noise._run_chunk(initial, p_durations, np.full_like(q_durations, 0.5))
-    assert np.abs(p_values - (1 - (1 - norm_errors) ** 2)).max() <= P_FLOOR_BOUND
+def test_p_floor_is_the_eigenbasis_steps_norm_loss(kernel_outputs):
+    """Under every kernel setting, where the exact P is far below rounding, P is the norm its column lost. Q's
+    durations are exactly 1/2, whose columns lose at most 6.7e-16 of squared norm, so the returned norm error, the
+    largest over a trial's columns, is P's column's wherever P's column lost more."""
+    for setting, outputs in kernel_outputs.items():
+        assert all((rows <= 1).all() and (rows < 1).any() for rows in outputs["v_row_norms"]), setting
+        (products, _, _, _), _ = outputs["p_floor"]
+        assert (products > P_FLOOR_BOUND).all(), setting
+        for p_values, _, _, norm_errors in outputs["p_floor"]:
+            assert np.abs(p_values - (1 - (1 - norm_errors) ** 2)).max() <= P_FLOOR_BOUND, setting
 
 
 @pytest.mark.parametrize(("p_mode", "q_mode"), [("common", "independent"), ("independent", "common")])
@@ -508,7 +494,7 @@ def test_chunk_draws_are_bitwise_numpys_normal(p_mode, q_mode, eps):
     every pulse shares, rng.normal(0, eps)."""
     models = noise.NoiseModel(eps, p_mode), noise.NoiseModel(eps, q_mode)
     seeds = range(1000)
-    initial, p_rows, q_rows = noise._draws(*models, _trial_states(*([23, s] for s in seeds)))
+    initial, p_rows, q_rows = noise._draws(*models, trial_states(*([23, s] for s in seeds)))
     want_initial, want_p, want_q = [], [], []
     for s in seeds:
         rng = np.random.default_rng([23, s])
@@ -527,24 +513,12 @@ def test_a_shared_duration_column_is_bitwise_the_column_repeated(p_mode, q_mode,
     """A common-mode channel's (n, 1) column, whose kicks or coefficients the kernel computes once per chunk,
     gives the bits of the same durations repeated over all 15 columns, which it computes once per pulse."""
     models = noise.NoiseModel(1e-2, p_mode), noise.NoiseModel(1e-2, q_mode)
-    initial, p_durations, q_durations = noise._draws(*models, _trial_states(*([29, j] for j in range(n))))
+    initial, p_durations, q_durations = noise._draws(*models, trial_states(*([29, j] for j in range(n))))
     assert [durations.shape[1] for durations in (p_durations, q_durations)] == [
         1 if mode == "common" else 15 for mode in (p_mode, q_mode)]
     shared = noise._run_chunk(initial, p_durations, q_durations)
     repeated = noise._run_chunk(initial, *(np.repeat(d, 15 // d.shape[1], axis=1) for d in (p_durations, q_durations)))
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(shared, repeated))
-
-
-def test_p_factors_are_bitwise_eighs_eigensystem():
-    """P's factors are real float64 C-ordered copies of eigh's vectors and of their transpose, and eigh lists each
-    bond's four singlets, eigenvalue -3 pi/2, first: the rows of V^T psi that _run_chunk kicks."""
-    factors = noise._p_factors()
-    for generator, (vectors, transpose) in zip(noise._lab()[0].subspace.bond_generators, factors, strict=True):
-        values, want = linalg.eig_hermitian(generator)
-        np.testing.assert_allclose(values, [-1.5 * PI] * 4 + [PI / 2] * 11, rtol=1e-15)
-        for factor, eigh_factor in ((vectors, want), (transpose, want.T)):
-            assert factor.dtype == np.float64 and factor.flags.c_contiguous
-            assert np.array_equal(factor.view(np.uint64), eigh_factor.view(np.uint64))
 
 
 def test_run_chunk_refuses_durations_neither_1_nor_15_columns_wide():
@@ -576,36 +550,6 @@ def test_batched_probability_errors_match_the_per_trial_formula():
     assert np.abs(batched - want).max() <= P_REDUCTION_BOUND
     alone = [noise._probability_errors(targets, initial[j:j + 1], columns[:, j:j + 1])[0] for j in range(n)]
     assert np.array_equal(batched, alone)
-
-
-_CHUNK_EQUALS_ITS_TRIALS_ALONE = """
-import numpy as np
-from spinlogic import noise
-# P's chunk is zero-padded to a multiple of 16 trials: 16 and 256 trials need no padding columns, 1 has 15 and 17
-# spills one trial into a second block of 16; 125 is a sweep-fine chunk and 232 the last chunk of a 1000-trial point;
-# at 37 the elementwise loops over a chunk's trials end on a partial SIMD vector
-sizes = (1, 16, 17, 37, 40, 125, 232, 256)
-for n, modes in ((n, modes) for n in sizes for modes in (("common", "independent"), ("independent", "common"))):
-    models = [noise.NoiseModel(1e-2, mode) for mode in modes]
-    states = np.array([np.random.SeedSequence([5, j]).generate_state(4, np.uint64) for j in range(n)])
-    chunk = noise._run_chunk(*noise._draws(*models, states))
-    alone = [noise._run_chunk(*noise._draws(*models, states[j:j + 1])) for j in range(n)]
-    assert all(np.array_equal(column, np.concatenate(values)) for column, values in zip(chunk, zip(*alone))), (n, modes)
-"""
-
-
-@pytest.mark.parametrize(
-    "env",
-    [{"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"},
-     {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
-    ids=["openblas-prescott", "openblas-haswell", "numpy-without-avx512-icl"],
-)
-def test_a_chunk_equals_its_trials_alone_under_other_kernels(env, fresh_python):
-    """Other BLAS and numpy SIMD kernels round differently, but a chunk still rounds as its trials do alone.
-
-    OpenBLAS and numpy read these settings when they load, so each needs a process of its own."""
-    done = fresh_python("-c", _CHUNK_EQUALS_ITS_TRIALS_ALONE, **env)
-    assert done.returncode == 0, done.stderr
 
 
 def test_reference_point_checks(millinoise_point):
