@@ -1,12 +1,21 @@
-"""The analytic invariants a release must satisfy, each with its tolerance.
+"""The analytic invariants a release must satisfy, all within one tolerance.
 
 registry() lists them in the order `spinlogic verify` runs them, and report()
 runs them and returns the lines `verify` prints, which the acceptance tests
 assert. Each entry measures one error (the largest deviation from its closed
-form) and passes when that error is at most its tolerance; a NaN error fails.
-A check may also return a note on what it measured, which report() prints
-before its verdict. The flip checks can be fed a corrupted second pulse
+form), and run() passes it when that error is at most TOLERANCE; a NaN error
+fails. A check may also return a note on what it measured, which report()
+prints before its verdict. The flip checks can be fed a corrupted second pulse
 duration, the fault injector behind `verify --corrupt-t2`.
+
+The rule: every closed form here is exact, so a check's error is rounding
+alone, in entries of order one after at most 15 pulses on at most 64
+amplitudes. One tolerance serves all 13: TOLERANCE = 1e-13, about 900 units of
+u = 2**-53. The largest error measured is 1.05e-15 (swap-gate, 9.5 u),
+95 times below it, under the default, Prescott, Haswell and Sandybridge
+OpenBLAS kernels and with numpy's AVX512 loops off. A fault just above it is
+caught: t2 off by a relative 1e-13 gives errors of 2.1e-13 and 2.2e-13 in the
+two flip checks.
 
 A registry evolves the four logical products through the swap once, when the
 first of its three swap checks (swap-gate, swap-phase, full-space-oracle) runs,
@@ -18,24 +27,23 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import chain, encoding, gates
 from .pulses import Pulse, PulseSequence
 
+TOLERANCE = 1e-13
+Measure = Callable[[], float | tuple[float, str]]  # a check: its error, or its error and a note
 
-class Check(NamedTuple):
-    measure: Callable[[], float | tuple[float, str]]  # the error, or the error and a note
-    tolerance: float
 
-    def run(self) -> tuple[float, bool, str]:
-        """The error, whether it is within tolerance, and the note ("" if none); overflow shows as inf or NaN."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = self.measure()
-        error, note = result if isinstance(result, tuple) else (result, "")
-        return error, error <= self.tolerance, note
+def run(measure: Measure) -> tuple[float, bool, str]:
+    """A check's error, whether it is within TOLERANCE, and its note ("" if none); overflow shows as inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = measure()
+    error, note = result if isinstance(result, tuple) else (result, "")
+    return error, error <= TOLERANCE, note
 
 
 def _worst(errors) -> float:
@@ -159,39 +167,39 @@ def full_space_oracle(swapped: np.ndarray) -> float:
     return _worst([np.abs(in_full - expect).max(), abs(1.0 - encoding.squared_norm(in_full))])
 
 
-def registry(corrupt_t2: float | None = None) -> dict[str, Check]:
+def registry(corrupt_t2: float | None = None) -> dict[str, Measure]:
     """Every check by name, in run order; corrupt_t2 overrides the flips' second duration."""
     swapped = functools.cache(_swapped_products)
     flip = _with_t2(gates.flip_sequence("A"), corrupt_t2)
     core2 = _with_t2(gates.flip_sequence_uncorrected("A", solution=2), corrupt_t2)
     core1 = gates.flip_sequence_uncorrected("A", solution=1)
     return {
-        "frame-orthonormality": Check(frame_orthonormality, 1e-12),
-        "auxiliary-decoupling": Check(auxiliary_decoupling, 1e-13),
-        "logical-projection": Check(logical_projection, 1e-13),
-        "flip-annihilation": Check(lambda: flip_annihilation(core2, core1), 1e-13),
-        "flip-gate": Check(lambda: _gate_error(flip, encoding.qubit_frame("A"), "F"), 1e-12),
-        "flip-phase-condition": Check(flip_phase_condition, 1e-13),
-        "hadamard-gate": Check(hadamard_gate, 1e-12),
-        "phase-gate": Check(phase_gate, 1e-12),
-        "spin-swap-phase": Check(spin_swap_phase, 1e-12),
-        "cycle-permutation": Check(cycle_permutation, 1e-12),
-        "swap-gate": Check(lambda: swap_gate(swapped()), 1e-12),
-        "swap-phase": Check(lambda: swap_phase(swapped()), 1e-12),
-        "full-space-oracle": Check(lambda: full_space_oracle(swapped()), 1e-12),
+        "frame-orthonormality": frame_orthonormality,
+        "auxiliary-decoupling": auxiliary_decoupling,
+        "logical-projection": logical_projection,
+        "flip-annihilation": lambda: flip_annihilation(core2, core1),
+        "flip-gate": lambda: _gate_error(flip, encoding.qubit_frame("A"), "F"),
+        "flip-phase-condition": flip_phase_condition,
+        "hadamard-gate": hadamard_gate,
+        "phase-gate": phase_gate,
+        "spin-swap-phase": spin_swap_phase,
+        "cycle-permutation": cycle_permutation,
+        "swap-gate": lambda: swap_gate(swapped()),
+        "swap-phase": lambda: swap_phase(swapped()),
+        "full-space-oracle": lambda: full_space_oracle(swapped()),
     }
 
 
-def report(registry: dict[str, Check], names: list[str] | None = None) -> tuple[list[str], int]:
+def report(registry: dict[str, Measure], names: list[str] | None = None) -> tuple[list[str], int]:
     """Run the named checks (all of them by default) in order: the lines verify prints and the number that failed."""
     names = list(registry) if names is None else names
     if unknown := [name for name in names if name not in registry]:
         raise ValueError(f"unknown check {unknown[0]!r}; choose from: {', '.join(registry)}")
     lines, failures = [], 0
     for name in names:
-        error, ok, note = registry[name].run()
+        error, ok, note = run(registry[name])
         failures += 0 if ok else 1
         lines += [note] if note else []
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {registry[name].tolerance:.1e})")
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<22} max error {error:.3e}  (tol {TOLERANCE:.1e})")
     lines.append(f"{failures} of {len(names)} checks failed" if failures else f"all {len(names)} checks passed")
     return lines, failures

@@ -117,7 +117,7 @@ def _read_config(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except UnicodeDecodeError as err:  # a ValueError whose message names no file
         raise ValueError(f"{path}: {err}") from None
-    table = {}
+    table, first_lines = {}, {}
     for lineno, line in enumerate(lines, start=1):
         # as configparser's inline comments: "#" opens one at the start of a line or after whitespace, so a
         # value such as out = res#1.csv keeps its "#"
@@ -127,7 +127,10 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in body:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
         key, value = body.split("=", 1)
-        table[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in table:  # n-runs and n_runs name one setting
+            raise ValueError(f"{path}:{lineno}: {key.replace('_', '-')} is set twice, first on line {first_lines[key]}")
+        table[key], first_lines[key] = value.strip(), lineno
     return table
 
 

@@ -1,4 +1,4 @@
-"""The sweep kernel's outputs whose last bits depend on the BLAS and SIMD kernels that numpy runs.
+"""The sweep kernel's outputs and verify's errors, whose last bits depend on the BLAS and SIMD kernels numpy runs.
 
 OpenBLAS and numpy pick their kernels when they load, so each of SETTINGS needs a process of its own:
 `python kernel_variance.py OUT` pickles compute() under its environment to OUT.
@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from spinlogic import noise
+from spinlogic import checks, noise
 
 SETTINGS = {
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
@@ -35,7 +35,8 @@ def compute() -> dict:
     """Assert that a chunk of each of CHUNK_SIZES trials gives its trials run alone, bit for bit, at epsilon 1e-2 in
     both mode pairings. Return the textbook cases' chunks (TEXTBOOK_TRIALS trials seeded [17, j]), P's floor chunks
     (the four products with every pulse lasting 1/2, and 1000 common-mode P trials at epsilon 1e-6 whose Q pulses
-    last 1/2) and the squared row norms of each bond's eigh V, which P's eigenbasis step uses."""
+    last 1/2), the squared row norms of each bond's eigh V, which P's eigenbasis step uses, and verify's 13 errors
+    by check name."""
     states = trial_states(*([5, j] for j in range(max(CHUNK_SIZES))))
     for modes in MODE_PAIRINGS:
         models = [noise.NoiseModel(1e-2, mode) for mode in modes]
@@ -53,7 +54,8 @@ def compute() -> dict:
     p_floor = (noise._run_chunk([0, 1, 2, 3], half, half),
                noise._run_chunk(initial, p_durations, np.full_like(q_durations, 0.5)))
     v_row_norms = [np.einsum("ij,ij->i", vectors, vectors) for vectors, _ in noise._p_factors()]
-    return {"textbook": textbook, "p_floor": p_floor, "v_row_norms": v_row_norms}
+    verify_errors = {name: checks.run(measure)[0] for name, measure in checks.registry().items()}
+    return {"textbook": textbook, "p_floor": p_floor, "v_row_norms": v_row_norms, "verify_errors": verify_errors}
 
 
 if __name__ == "__main__":

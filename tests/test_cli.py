@@ -130,10 +130,12 @@ def test_verify_rejects_unknown_check(capsys):
 
 
 def test_verify_fails_with_corrupted_timing(capsys):
-    assert run_cli("verify", "--corrupt-t2", "0.7") == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "flip" in out
+    # t2 = 0.75 off by 0.05 and by a relative 1e-13 (flip-gate's error is then 2.2e-13)
+    for corrupt_t2 in ("0.7", "0.750000000000075"):
+        assert run_cli("verify", "--corrupt-t2", corrupt_t2) == 1
+        verdicts = {words[1]: words[0] for words in map(str.split, capsys.readouterr().out.splitlines())
+                    if words[0] in ("PASS", "FAIL")}
+        assert [name for name, verdict in verdicts.items() if verdict == "FAIL"] == ["flip-annihilation", "flip-gate"]
 
 
 def test_a_huge_corrupt_t2_fails_both_flip_checks_as_zero_does_with_no_warnings(capsys):
@@ -401,9 +403,10 @@ def test_a_sweep_too_large_to_allocate_is_bad_input(tmp_path, capfd, recwarn, ar
         ([], b"eps-points = -1\n", "eps-points must be nonnegative, got -1"),
         (["--eps", "1e-3", "--p-mode", "nope"], None, f"mode must be one of {noise.NOISE_MODES}, got 'nope'"),
         ([], b"\x80eps = 1e-3\n", "{config}: 'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
+        ([], b"n_runs = 3\nseed = 1\nn-runs = 4\n", "{config}:3: n-runs is set twice, first on line 1"),
     ],
     ids=["eps-flag", "eps-flag-empty-item", "eps-config", "n-runs-flag", "eps-points-flag", "eps-points-config",
-         "p-mode-flag", "config-not-text"],
+         "p-mode-flag", "config-not-text", "config-key-twice"],
 )
 def test_a_bad_sweep_setting_is_one_line_naming_it(tmp_path, capsys, argv, config, message):
     out = tmp_path / "sweep.csv"

@@ -6,8 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kernel_variance import MODE_PAIRINGS, TEXTBOOK_EPSILONS, TEXTBOOK_TRIALS, trial_states
 from spinlogic import chain, encoding, gates, noise
@@ -357,14 +355,6 @@ def test_fit_json_shape():
 
 
 # ---------------------------------------------------------------- statistics
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_trials_conserve_the_norm(seed):
-    common, independent = noise.NoiseModel(1e-2, mode="common"), noise.NoiseModel(1e-2, mode="independent")
-    _, _, _, norm_err = noise._run_chunk(*noise._draws(common, independent, trial_states([seed])))
-    assert norm_err.item() < 1e-12
 
 
 def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
