@@ -18,6 +18,12 @@ State conventions, used verbatim everywhere downstream:
 On a sector basis the matrix rule is: diagonal +pi/2 when bits k, k+1 agree,
 else -pi/2, plus an off-diagonal pi connecting the two patterns related by
 swapping bits k and k+1.
+
+So V_k = pi S_k - pi/2 with S_k that swap, and a pulse is the phase
+exp(-i pi t/2) times 1 + (exp(2 pi i t) - 1) P_k, P_k the projector on the
+bond's singlets (x_a - x_b)/sqrt(2), one per pair (a, b) that S_k exchanges
+(DiVincenzo et al., quant-ph/0005116). evolve, the one pulse formula, moves
+only those pair rows (Subspace.bond_pairs) and applies the phase once per call.
 """
 from __future__ import annotations
 
@@ -31,17 +37,17 @@ import numpy as np
 
 MAX_SECTOR_SPINS = 10
 MAX_FULL_SPINS = 8
-# swap_coefficients' constants as 0-d arrays, which a ufunc takes without converting a Python float each call
-_PI, _HALF, _PERIOD = np.array(np.pi), np.array(0.5), np.array(4.0)
+# evolve's constants as 0-d arrays, which a ufunc takes without converting a Python float each call
+_PI, _MINUS_HALF, _PERIOD = np.array(np.pi), np.array(-0.5), np.array(4.0)
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A fixed-excitation sector (or the full space, n_excitations=None).
 
-    Bond generators and swap maps are cached on the instance; enumerate_subspace
-    and full_space hand out one shared instance per sector, so every caller
-    reuses them without hashing the states.
+    Bond generators, swap maps and pair maps are cached on the instance;
+    enumerate_subspace and full_space hand out one shared instance per sector,
+    so every caller reuses them without hashing the states.
     """
 
     n_spins: int
@@ -79,7 +85,8 @@ class Subspace:
 
         The one place the swap's bit formula lives: bits k and k+1 of each pattern
         trade places, which keeps the excitation number, so the generator is
-        pi * S_k - pi/2 on any sector's basis. evolve gathers by these maps.
+        pi * S_k - pi/2 on any sector's basis. bond_pairs, which evolve reads,
+        comes from these maps.
         """
         states = np.array(self.states)
         position = np.zeros(1 << self.n_spins, dtype=np.intp)
@@ -88,6 +95,19 @@ class Subspace:
                      for k in range(self.n_spins - 1))
         for swapped in maps:
             swapped.flags.writeable = False
+        return maps
+
+    @cached_property
+    def bond_pairs(self) -> tuple[np.ndarray, ...]:
+        """Per bond, bond 0 first: the 2m rows of the bond's m pairs (a, b) that bond_swaps exchanges, read-only.
+
+        The first m entries are each pair's lower index a, ascending, and the last m their partners b in the same
+        order; the states bond_swaps fixes are in no pair. evolve pulses these rows only.
+        """
+        lowers = (np.flatnonzero(swapped > np.arange(self.dim)) for swapped in self.bond_swaps)
+        maps = tuple(np.concatenate([lower, swapped[lower]]) for lower, swapped in zip(lowers, self.bond_swaps))
+        for pairs in maps:
+            pairs.flags.writeable = False
         return maps
 
 
@@ -144,52 +164,51 @@ def apply_bond_pulse(bond: int, duration: float, state: np.ndarray, subspace: Su
     return psi
 
 
-def swap_coefficients(durations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c and s with exp(-i V_k t) = c + s S_k for each duration t, on every bond and subspace.
-
-    V_k = pi * S_k - pi/2 and S_k^2 = 1 give c = exp(i pi t/2) cos(pi t) and
-    s = -i exp(i pi t/2) sin(pi t) (DiVincenzo et al., quant-ph/0005116). The
-    pulse has period 4 in t, so t enters as fmod(t, 4), which is exact: every
-    finite duration gives finite coefficients, and a NaN or infinite one gives
-    NaN. Only real multiplies follow the trigonometry, so an entry's bits do
-    not depend on its place in the array.
-    """
-    angle = _PI * np.fmod(durations, _PERIOD)
-    half = _HALF * angle
-    cos, sin, half_cos, half_sin = np.cos(angle), np.sin(angle), np.cos(half), np.sin(half)
-    c, s = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
-    c.real, c.imag = half_cos * cos, half_sin * cos
-    s.real, s.imag = half_sin * sin, -(half_cos * sin)
-    return c, s
-
-
 def evolve(bonds, durations, state: np.ndarray, subspace: Subspace) -> None:
     """Pulse bonds[k] for durations[k], k = 0, 1, ..., in place on a complex (dim, ...) state.
 
-    Each pulse is state = c * state + s * state[S_k], S_k the bond's bond_swaps map, with c and s
-    the swap_coefficients of all durations, computed once. durations[k] broadcasts against state[0],
-    so a (len(bonds), n) array gives trial j of a (dim, ..., n) chunk, state[..., j], its own. A
-    durations of one entry is every bond's: its coefficients are computed once and serve every
-    pulse, so a (1, n) row gives trial j one duration for all pulses (common-mode draws). One
-    scratch array serves every pulse and no BLAS is called, so no entry's bits depend on the chunk.
+    Each pulse moves only its bond's pair rows (bond_pairs): u = h (x_a - x_b), x_a += u and x_b -= u, with
+    h = (exp(2 i theta) - 1)/2 = -sin^2 theta + i sin theta cos theta and theta = pi fmod(t, 4) (the pulse has period
+    4 in t and fmod is exact, so a finite duration gives finite coefficients and a NaN or infinite one NaN). The phase
+    exp(-i theta/2) that every pulse puts on every row is applied once, after the last pulse, as the running product
+    of the pulses' cos(theta/2) - i sin(theta/2) along the pulse axis.
+
+    durations[k] broadcasts against state[0], so a (len(bonds), n) array gives trial j of a (dim, ..., n) chunk,
+    state[..., j], its own. A durations of one entry is every bond's: its h is computed once and serves every pulse,
+    so a (1, n) row gives trial j one duration for all pulses (common-mode draws). Every step is elementwise along
+    the trials, with one scratch array and no BLAS call, so no entry's bits depend on the chunk.
     """
-    swaps = subspace.bond_swaps
+    pairs = subspace.bond_pairs
     if state.shape[0] != subspace.dim:
         raise ValueError(f"state dimension {state.shape[0]} does not match sector dimension {subspace.dim}")
-    if bad := [bond for bond in bonds if not 0 <= bond < len(swaps)]:
+    if bad := [bond for bond in bonds if not 0 <= bond < len(pairs)]:
         raise _bond_error(bad[0], subspace)
     if len(durations) not in (1, len(bonds)):
         raise ValueError(f"{len(durations)} durations for {len(bonds)} bonds")
-    c, s = swap_coefficients(durations)
-    if len(c) == 1:
-        c, s = itertools.repeat(c[0]), itertools.repeat(s[0])
-    gathered = np.empty_like(state)
-    for bond, c_k, s_k in zip(bonds, c, s):
+    if len(bonds) == 0:
+        return
+    angle = _PI * np.fmod(durations, _PERIOD)
+    back = _MINUS_HALF * angle  # exp(-i theta/2) = cos(back) + i sin(back)
+    sin = np.sin(angle)
+    kicks, turns = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
+    kicks.real, kicks.imag = -(sin * sin), sin * np.cos(angle)
+    turns.real, turns.imag = np.cos(back), np.sin(back)
+    if len(kicks) < len(bonds):
+        kicks, turns = itertools.repeat(kicks[0]), np.repeat(turns, len(bonds), axis=0)
+    phase = np.multiply.accumulate(turns, axis=0)[-1]
+    m = len(pairs[0]) // 2
+    scratch = np.empty((3 * m, *state.shape[1:]), dtype=np.complex128)
+    rows, upper, lower, kicked = scratch[:2 * m], scratch[:m], scratch[m:2 * m], scratch[2 * m:]
+    for bond, kick in zip(bonds, kicks):
+        rows_of_pairs = pairs[bond]
         # ndarray.take and in-place operators skip np.take's and np.multiply's wrappers; mode="raise" buffers
-        state.take(swaps[bond], axis=0, out=gathered, mode="clip")
-        state *= c_k
-        gathered *= s_k
-        state += gathered
+        state.take(rows_of_pairs, axis=0, out=rows, mode="clip")
+        np.subtract(upper, lower, out=kicked)
+        kicked *= kick
+        upper += kicked
+        lower -= kicked
+        state[rows_of_pairs] = rows
+    state *= phase
 
 
 @cache

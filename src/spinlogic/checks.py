@@ -11,8 +11,8 @@ duration, the fault injector behind `verify --corrupt-t2`.
 The rule: every closed form here is exact, so a check's error is rounding
 alone, in entries of order one after at most 15 pulses on at most 64
 amplitudes. One tolerance serves all 13: TOLERANCE = 1e-13, about 900 units of
-u = 2**-53. The largest error measured is 1.05e-15 (swap-gate, 9.5 u),
-95 times below it, under the default, Prescott, Haswell and Sandybridge
+u = 2**-53. The largest error measured is 8.95e-16 (swap-gate, 8.1 u),
+112 times below it, under the default, Prescott, Haswell and Sandybridge
 OpenBLAS kernels and with numpy's AVX512 loops off. A fault just above it is
 caught: t2 off by a relative 1e-13 gives errors of 2.1e-13 and 2.2e-13 in the
 two flip checks.
@@ -115,11 +115,16 @@ def hadamard_gate() -> float:
 
 
 def phase_gate() -> float:
-    """The phase gate on the nine angles k*pi/4, including 0, pi and 2*pi."""
+    """The phase gate on the nine angles k*pi/4, including 0, pi and 2*pi, evolved as one (dim, 2, 9) chunk."""
     frame = encoding.qubit_frame("A")
-    return _worst(
-        _gate_error(gates.phase_sequence(k * math.pi / 4), frame, "P", k * math.pi / 4) for k in range(9)
-    )
+    thetas = [k * math.pi / 4 for k in range(9)]
+    pulses = [pulse for theta in thetas for pulse in gates.phase_sequence(theta)]  # one pulse each, on one bond
+    block = frame.vectors[:, :2]
+    evolved = np.repeat(block[:, :, None], len(thetas), axis=2)
+    chain.evolve((pulses[0].bond,), [[pulse.duration for pulse in pulses]], evolved, frame.subspace)
+    logical = np.einsum("ia,ibj->jab", block.conj(), evolved)  # angle j's logical matrix
+    reference = np.array([gates.analytic_reference("P", theta) for theta in thetas])
+    return float(np.abs(logical - reference).max())
 
 
 def spin_swap_phase() -> float:

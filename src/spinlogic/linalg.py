@@ -1,6 +1,6 @@
 """Dense Hermitian linear algebra for small pulse generators.
 
-Pulses evolve by the closed form exp(-i V_k t) = c + s S_k (chain.evolve). Only
+Pulses evolve by chain.evolve's closed form on each bond's singlet pairs. Only
 the sweep's P pulses (noise._p_factors, eigenvectors only, kept for the rounding
 the benchmark reference was recorded with) and independent references (propagator)
 diagonalize a small real-symmetric bond Hamiltonian, so this module only has

@@ -30,11 +30,11 @@ have no defined phase and are excluded from the phase mean but counted.
 
 A sweep draws each point's trials in chunks of at most CHUNK_TRIALS (_draws)
 and runs the drawn arrays, each trial's initial state and P and Q durations,
-through one kernel (_run_chunk). Q's chunk evolves by the closed form of each
-pulse, exp(-i V_k t) = c + s S_k with S_k the bond's swap (chain.evolve, as in
-gates.simulate): an elementwise multiply-add on a gather, with no BLAS. P
-keeps the eigenbasis (_p_factors) until a re-recorded benchmark reference
-admits new bits: float64 P at the smallest epsilon is rounding-limited, and
+through one kernel (_run_chunk). Q's chunk evolves by chain.evolve, as
+gates.simulate does: each pulse moves only the rows of its bond's singlet
+pairs, elementwise with no BLAS, and the pulses' common phase is applied once
+per chunk. P keeps the eigenbasis (_p_factors) until a re-recorded benchmark
+reference admits new bits: float64 P at the smallest epsilon is rounding-limited, and
 the closed form moves its fitted amplitude by about 1 %. Its chunk is one
 (dim, W) array, zero-padded to W, the trials it holds rounded up to a
 multiple of 16 (_P_GRANULE), and each pulse is two real gemms by V^T and V on
@@ -42,8 +42,8 @@ its float64 view with one kick in between on the rows of the bond's four
 singlets: the pulse is a phase that neither P nor the norm reads times
 1 + (exp(2 pi i t) - 1) P_k, P_k the projector on those singlets. A channel in
 common mode draws one (n, 1) column of durations that every pulse shares, so
-Q's coefficients and P's kicks are computed once per chunk instead of once
-per pulse. Each trial's reductions read only its own column, so a trial
+Q's pair coefficients and P's kicks are computed once per chunk instead of
+once per pulse. Each trial's reductions read only its own column, so a trial
 gives the same bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream

@@ -215,6 +215,39 @@ def test_bond_generators_are_pi_swap_minus_half_pi(space):
 
 
 @_SPACES
+def test_bond_pairs_are_the_pairs_each_swap_exchanges(space):
+    # a bond's singlet pairs: one excitation on its two spins and any comb(n - 2, e - 1) placements of the rest
+    n_spins, n_excitations = space
+    sub = _space(*space)
+    m = 2 ** (n_spins - 2) if n_excitations is None else math.comb(n_spins - 2, n_excitations - 1)
+    assert len(sub.bond_pairs) == n_spins - 1
+    for swap, pairs in zip(sub.bond_swaps, sub.bond_pairs):
+        lower, upper = pairs[:m], pairs[m:]
+        assert len(pairs) == 2 * m and np.array_equal(swap[lower], upper) and (lower < upper).all()
+        assert np.array_equal(np.sort(pairs), np.flatnonzero(swap != np.arange(sub.dim)))  # every moved state, once
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0] = 0
+
+
+def test_the_common_phase_keeps_its_precision_over_a_thousand_pulses(textbook_pulse):
+    # evolve applies the phase exp(-i pi t/2) of all pulses once, as the running product of each pulse's own factor.
+    # Against 1000 textbook pulses per trial, durations in [3.9, 4), the largest entry difference was 5.7e-14 here
+    # (at most 6.4e-14 over seeds 0..7), while one exp of the summed half angles gave 3.9e-12 (2.0e-12 to 6.4e-12)
+    sub = chain.enumerate_subspace(6, 2)
+    rng = np.random.default_rng(0)
+    bonds = rng.integers(sub.n_spins - 1, size=1000).tolist()
+    durations = rng.uniform(3.9, 4.0, size=(1000, 3))
+    block = encoding.pair_frame().vectors[:, :4]
+    chunk = np.repeat(block[:, :, None], 3, axis=2)
+    chain.evolve(bonds, durations, chunk, sub)
+    for j in range(3):
+        expect = block
+        for bond, t in zip(bonds, durations[:, j]):
+            expect = textbook_pulse(bond, t, expect, sub)
+        assert np.abs(chunk[..., j] - expect).max() <= 2e-13
+
+
+@_SPACES
 def test_evolve_matches_the_textbook_pulse(space, textbook_pulse):
     # chain.evolve, one pulse per trial of a (dim, 5, n) chunk, against the eigenbasis
     n_spins, _ = space
@@ -233,20 +266,22 @@ def test_evolve_matches_the_textbook_pulse(space, textbook_pulse):
             alone = chunk[..., k:k + 1].copy()
             chain.evolve((bond,), durations[None, k:k + 1], alone, sub)
             assert np.array_equal(alone[..., 0], state[..., k])  # a trial pulsed alone gets the chunk's bits
-    # a sequence runs its pulses in order, each with its own row of durations: the
-    # whole sequence in one call gives the bits of one call per pulse
+    # a sequence runs its pulses in order, each with its own row of durations: the whole sequence in one call is one
+    # call per pulse up to rounding, as the pulses' common phase is applied once per call. Over seeds 0..199 of these
+    # draws on each of the three spaces (600 cases) the largest entry difference was 2.9e-15; the bound is 1e-14
     bonds = [n_spins - 2, 0, 1, 0, n_spins - 2]
     steps = rng.uniform(-2, 2, size=(len(bonds), 5))
     together, one_by_one = chunk[..., :5].copy(), chunk[..., :5].copy()
     chain.evolve(bonds, steps, together, sub)
     for bond, row in zip(bonds, steps):
         chain.evolve([bond], row[None], one_by_one, sub)
-    assert np.array_equal(together, one_by_one)
+    assert np.abs(together - one_by_one).max() <= 1e-14
     # the pulse has period 4 and a duration enters as fmod(t, 4), exactly: a float
     # as large as 3e307 is a multiple of 4, so its pulse is the identity, not NaN
-    c, s = chain.swap_coefficients(np.array([3e307, -3e307, 4.5, 0.5]))
-    assert np.array_equal(c[:2], [1, 1]) and np.array_equal(s[:2], [0, 0])
-    assert c[2] == c[3] and s[2] == s[3]
+    periodic = np.repeat(chunk[..., :1], 4, axis=2)
+    chain.evolve((n_spins - 2,), np.array([[3e307, -3e307, 4.5, 0.5]]), periodic, sub)
+    assert np.array_equal(periodic[..., 0], chunk[..., 0]) and np.array_equal(periodic[..., 1], chunk[..., 0])
+    assert np.array_equal(periodic[..., 2], periodic[..., 3])
 
 
 @pytest.mark.parametrize("n_spins", [9, 10])
@@ -273,7 +308,7 @@ def test_shared_structure_is_read_only():
     sub = chain.enumerate_subspace(6, 2)
     assert chain.bond_generator(2, sub) is sub.bond_generators[2]
     assert np.array_equal(sub.bond_generators[2], chain.build_bond_hamiltonian(2, sub))
-    for shared in (*sub.bond_generators, *sub.bond_swaps):
+    for shared in (*sub.bond_generators, *sub.bond_swaps, *sub.bond_pairs):
         with pytest.raises(ValueError, match="read-only"):
             shared[0, ...] = 0
     with pytest.raises(ValueError, match="bond"):
@@ -286,7 +321,7 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
     rng = np.random.default_rng(5)
     vec = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     block = rng.normal(size=(sub.dim, 4)) + 1j * rng.normal(size=(sub.dim, 4))
-    sub.bond_generators, sub.bond_swaps  # builds the cached generators and swap maps
+    sub.bond_generators, sub.bond_pairs  # builds the cached generators, swap maps and pair maps
     snapshot = pickle.dumps(vars(sub))
     for bond, t, state in ((1, 1.25, vec), (2, -0.75, block)):
         evolved = state.copy()

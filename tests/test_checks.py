@@ -11,7 +11,7 @@ from spinlogic.pulses import Pulse, PulseSequence
 
 @pytest.mark.parametrize("name", list(checks.registry()))
 def test_every_check_is_within_its_tolerance(name, kernel_outputs):
-    # under each of kernel_variance's settings; the largest error is 1.05e-15 (swap-gate), 95 times below TOLERANCE
+    # under each of kernel_variance's settings; the largest error is 8.95e-16 (swap-gate), 112 times below TOLERANCE
     errors = {setting: outputs["verify_errors"][name] for setting, outputs in kernel_outputs.items()}
     assert all(error <= checks.TOLERANCE for error in errors.values()), errors
 
@@ -24,13 +24,13 @@ def test_running_every_check_prints_nothing(capsys):
 
 
 def test_a_registry_evolves_the_swap_once(monkeypatch):
-    # 6 flip + 4 flip-gate + 6 hadamard + 9 phase + 1 spin-swap + 5 cycle pulses, then 15 for all three swap checks;
-    # every pulse, apply_bond_pulse's too, goes through chain.evolve
+    # 6 flip + 4 flip-gate + 6 hadamard + 1 phase (the nine angles as one chunk) + 1 spin-swap + 5 cycle pulses, then
+    # 15 for all three swap checks; every pulse, apply_bond_pulse's too, goes through chain.evolve
     kernel, calls = chain.evolve, []
     monkeypatch.setattr(chain, "evolve", lambda bonds, *args: calls.append(list(bonds)) or kernel(bonds, *args))
     for measure in checks.registry().values():
         checks.run(measure)
-    assert sum(map(len, calls)) == 46
+    assert sum(map(len, calls)) == 38
     assert [bonds for bonds in calls if len(bonds) == 15] == [[pulse.bond for pulse in gates.swap_sequence()]]
 
 
@@ -42,8 +42,9 @@ def wrong_kernel(monkeypatch):
 
 
 def wrong_swap_map(monkeypatch):
-    """Every subspace's bond-2 swap map exchanges spins 2 and 4, as a wrong bit formula would: the sector kernel reads
-    it, and only an oracle that builds its own swap notices (one reading any Subspace's maps would agree)."""
+    """Every subspace's bond-2 swap map exchanges spins 2 and 4, as a wrong bit formula would, and the pair maps the
+    sector kernel reads are derived from it: only an oracle that builds its own swap notices (one reading any
+    Subspace's maps would agree). Both maps are patched on the class, so no subspace's cached maps are read."""
     right = chain.Subspace.bond_swaps.func
 
     def swaps(sub):
@@ -54,6 +55,7 @@ def wrong_swap_map(monkeypatch):
         return (*maps[:2], np.array(wrong), *maps[3:])
 
     monkeypatch.setattr(chain.Subspace, "bond_swaps", property(swaps))
+    monkeypatch.setattr(chain.Subspace, "bond_pairs", property(chain.Subspace.bond_pairs.func))
 
 
 def leaky_oracle(monkeypatch):
@@ -75,7 +77,7 @@ def broken_sequence(monkeypatch, builder, broken):
 
 # The faults nearest TOLERANCE. A relative corruption r of t2 fails flip-annihilation from r = 4.7e-14 and flip-gate
 # from 4.5e-14 (errors 2.1e-13 and 2.2e-13 at r = 1e-13); a first swap pulse of 1/2 + d fails swap-gate and
-# swap-phase from d = 2.2e-14 (2.3e-13 at d = 5e-14). flip-gate's and the swap checks' faults pass a tolerance of 1e-12.
+# swap-phase from d = 2.1e-14 (2.4e-13 at d = 5e-14). flip-gate's and the swap checks' faults pass a tolerance of 1e-12.
 @pytest.mark.parametrize(
     "name, fault",
     [

@@ -113,7 +113,7 @@ def test_verify_does_not_import_numpy_random(verify_in_a_fresh_process):
 
 
 def test_verify_and_the_swap_call_no_eigensolver(verify_in_a_fresh_process):
-    """Every pulse of verify and simulate takes the closed form c + s S_k; only the sweep's P pulses diagonalize."""
+    """Every pulse of verify and simulate takes chain.evolve's closed form; only the sweep's P pulses diagonalize."""
     assert verify_in_a_fresh_process["verify_status"] == 0
     assert verify_in_a_fresh_process["eigensolver_calls"] == []
 

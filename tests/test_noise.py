@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -360,12 +361,12 @@ def test_fit_json_shape():
 def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     """A lone trial of _run_chunk written out: same draws, V exp(-i lambda t) V^dagger per pulse, numpy reductions.
 
-    Q's pulses take fmod(t, 4) as their duration, as chain.swap_coefficients
-    does: the pulse has period 4 and the reduction is exact, so it is the same
-    operator, and a huge duration does not overflow lambda * t. The norm error
-    is the implementation's own rounding, so it is taken over Q's columns
-    evolved by the closed form c + s S_k, one trial and one pulse at a time;
-    test_evolve_matches_the_textbook_pulse pins that form to the eigenbasis.
+    Q's pulses take fmod(t, 4) as their duration, as chain.evolve does: the
+    pulse has period 4 and the reduction is exact, so it is the same operator,
+    and a huge duration does not overflow lambda * t. The norm error is the
+    implementation's own rounding, so it is taken over Q's columns evolved one
+    pulse at a time by the closed form exp(i pi t/2) [cos(pi t) - i sin(pi t)
+    S_k], written out here with its own scalars.
     """
     frame = encoding.pair_frame()
     targets = frame.vectors[:, list(gates.SWAP_PERMUTATION)]
@@ -382,8 +383,9 @@ def _textbook_trial(p_noise, q_noise, rng, textbook_pulse):
     evolved = evolve(q_sequence, frame.vectors[:, :4], lambda t: math.fmod(t, 4.0))
     closed = frame.vectors[:, :4]
     for pulse in q_sequence:
-        c, s = chain.swap_coefficients(np.array(pulse.duration))
-        closed = c * closed + s * closed[frame.subspace.bond_swaps[pulse.bond]]
+        angle = PI * math.fmod(pulse.duration, 4.0)
+        closed = cmath.exp(0.5j * angle) * (math.cos(angle) * closed
+                                            - 1j * math.sin(angle) * closed[frame.subspace.bond_swaps[pulse.bond]])
     p_value = abs(1.0 - abs(np.vdot(targets[:, initial], psi)) ** 2)
     overlaps = np.einsum("ij,ij->j", targets.conj(), evolved)
     defined = not np.abs(overlaps).min() < noise.OVERLAP_FLOOR  # a NaN overlap counts as defined
