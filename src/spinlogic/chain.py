@@ -28,7 +28,6 @@ only those pair rows (Subspace.bond_pairs) and applies the phase once per call.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -83,10 +82,12 @@ class Subspace:
     def bond_swaps(self) -> tuple[np.ndarray, ...]:
         """Per bond, bond 0 first: the index each basis state maps to with spins k and k+1 exchanged, read-only.
 
-        The one place the swap's bit formula lives: bits k and k+1 of each pattern
-        trade places, which keeps the excitation number, so the generator is
-        pi * S_k - pi/2 on any sector's basis. bond_pairs, which evolve reads,
-        comes from these maps.
+        Bits k and k+1 of each pattern trade places, which keeps the excitation
+        number, so the generator is pi * S_k - pi/2 on any sector's basis.
+        bond_pairs, which evolve reads, comes from these maps. build_bond_hamiltonian
+        keeps its own bit test on purpose: a test holds the two equal, and evolve's
+        textbook reference is built from that generator, also on the 9- and 10-spin
+        sectors the full-space oracle cannot reach.
         """
         states = np.array(self.states)
         position = np.zeros(1 << self.n_spins, dtype=np.intp)
@@ -193,8 +194,8 @@ def evolve(bonds, durations, state: np.ndarray, subspace: Subspace) -> None:
     kicks, turns = np.empty(angle.shape, dtype=np.complex128), np.empty(angle.shape, dtype=np.complex128)
     kicks.real, kicks.imag = -(sin * sin), sin * np.cos(angle)
     turns.real, turns.imag = np.cos(back), np.sin(back)
-    if len(kicks) < len(bonds):
-        kicks, turns = itertools.repeat(kicks[0]), np.repeat(turns, len(bonds), axis=0)
+    if len(kicks) < len(bonds):  # one row serves every pulse, as a view
+        kicks, turns = (np.broadcast_to(values, (len(bonds), *values.shape[1:])) for values in (kicks, turns))
     phase = np.multiply.accumulate(turns, axis=0)[-1]
     m = len(pairs[0]) // 2
     scratch = np.empty((3 * m, *state.shape[1:]), dtype=np.complex128)

@@ -113,7 +113,7 @@ def cmd_simulate(args) -> int:
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as err:  # a ValueError whose message names no file
         raise ValueError(f"{path}: {err}") from None
@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"eps-points must be nonnegative, got {settings['eps_points']}")
         grid = [float(e) for e in np.geomspace(settings["eps_min"], settings["eps_max"], settings["eps_points"])]
     fresh = not os.path.lexists(settings["out"])
-    with open(settings["out"], "a"):  # an unwritable --out fails here, before the trials run
+    with open(settings["out"], "a", encoding="utf-8"):  # an unwritable --out fails here, before the trials run
         pass
     try:
         points = noise.sweep(grid, n_runs=settings["n_runs"], seed=settings["seed"],
@@ -234,7 +234,7 @@ def cmd_fit(args) -> int:
 def cmd_export_schedule(args) -> int:
     seq, _ = _sequence(args)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(seq.schedule_text())
         print(f"wrote {len(seq)} pulses to {args.out}")
     else:

@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra for small pulse generators.
 
-Pulses evolve by chain.evolve's closed form on each bond's singlet pairs. Only
-the sweep's P pulses (noise._p_factors, eigenvectors only, kept for the rounding
-the benchmark reference was recorded with) and independent references (propagator)
-diagonalize a small real-symmetric bond Hamiltonian, so this module only has
-to validate Hermiticity, diagonalize and exponentiate. Eigenvalues are ascending, with orthonormal eigenvector columns.
+Pulses evolve by chain.evolve's closed form on each bond's singlet pairs, and
+the sweep's P factors call numpy.linalg.eigh directly on generators chain
+builds, so no module of the package calls this one. It is for matrices from
+outside: it validates shape, finiteness and Hermiticity before it diagonalizes
+or exponentiates. Eigenvalues are ascending, with orthonormal eigenvector columns.
 """
 from __future__ import annotations
 

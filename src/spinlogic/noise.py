@@ -33,17 +33,18 @@ and runs the drawn arrays, each trial's initial state and P and Q durations,
 through one kernel (_run_chunk). Q's chunk evolves by chain.evolve, as
 gates.simulate does: each pulse moves only the rows of its bond's singlet
 pairs, elementwise with no BLAS, and the pulses' common phase is applied once
-per chunk. P keeps the eigenbasis (_p_factors) until a re-recorded benchmark
-reference admits new bits: float64 P at the smallest epsilon is rounding-limited, and
-the closed form moves its fitted amplitude by about 1 %. Its chunk is one
-(dim, W) array, zero-padded to W, the trials it holds rounded up to a
-multiple of 16 (_P_GRANULE), and each pulse is two real gemms by V^T and V on
-its float64 view with one kick in between on the rows of the bond's four
-singlets: the pulse is a phase that neither P nor the norm reads times
+per chunk. P keeps the eigenbasis (_p_factors, numpy.linalg.eigh's vectors)
+until a re-recorded benchmark reference admits new bits: float64 P at the
+smallest epsilon is rounding-limited, and the closed form moves its fitted
+amplitude by about 1 %. Its chunk is one (dim, W) array, zero-padded to W,
+the trials it holds rounded up to a multiple of 16 (_P_GRANULE), and each
+pulse is two real gemms by V^T and V on its float64 view with one kick in
+between on the rows of the bond's singlets, one per pair of bond_pairs: the
+pulse is a phase that neither P nor the norm reads times
 1 + (exp(2 pi i t) - 1) P_k, P_k the projector on those singlets. A channel in
 common mode draws one (n, 1) column of durations that every pulse shares, so
-Q's pair coefficients and P's kicks are computed once per chunk instead of
-once per pulse. Each trial's reductions read only its own column, so a trial
+Q's pair coefficients and P's kicks are computed once per chunk and broadcast
+to every pulse. Each trial's reductions read only its own column, so a trial
 gives the same bits in any chunk and in either duration layout.
 
 Reproducibility: trial (eps_index, trial_index) draws from the PCG64 stream
@@ -65,7 +66,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import chain, encoding, gates, linalg
+from . import chain, encoding, gates
 from .pulses import Pulse, PulseSequence
 
 DEFAULT_SEED = 123456789
@@ -357,15 +358,16 @@ def _draws(p_noise: NoiseModel, q_noise: NoiseModel, states: np.ndarray) -> tupl
 
 @cache
 def _p_factors() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """P's pulse factors on the sweep's sector: per bond, eigh's V and V^T.
+    """P's pulse factors on the sweep's sector: per bond, numpy.linalg.eigh's V and V^T.
 
-    They are real float64 C-ordered copies of eigh's vectors and of their
-    transpose (the generators are real symmetric, so V^dagger = V^T): one real
-    gemm on a complex chunk's interleaved float64 view applies them to both
-    parts. eigh lists a bond's -3 pi/2 eigenvalues, those of its singlets,
-    before its pi/2 ones, and _run_chunk kicks those first rows.
+    chain builds the generators, so no input check is needed. The factors are
+    real float64 C-ordered copies of eigh's vectors and of their transpose (the
+    generators are real symmetric, so V^dagger = V^T): one real gemm on a
+    complex chunk's interleaved float64 view applies them to both parts. eigh
+    lists a bond's -3 pi/2 eigenvalues, those of its singlets, before its pi/2
+    ones, and _run_chunk kicks those first rows.
     """
-    vectors = (linalg.eig_hermitian(generator)[1] for generator in _lab()[0].subspace.bond_generators)
+    vectors = (np.linalg.eigh(generator)[1] for generator in _lab()[0].subspace.bond_generators)
     return tuple((np.ascontiguousarray(v, dtype=np.float64), np.ascontiguousarray(v.T, dtype=np.float64))
                  for v in vectors)
 
@@ -377,18 +379,20 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     P evolves logical product initial[j] for durations p_durations[j] in column
     j of a (dim, W) chunk: per pulse, two real gemms by V^T and V (_p_factors)
     on the chunk's float64 view, and in between the rows of the bond's singlets
-    times one kick, exp(-i lambda_- t) conj(exp(-i lambda_+ t)) with lambda_- =
-    -3 pi/2 and lambda_+ = pi/2, which is finite up to t = 3.8e307 (exp(2 pi i t)
-    would overflow from 2.9e307). The chunk is zero-padded to W, n rounded up
-    to a multiple of _P_GRANULE, because a gemm's columns round alike only at
-    some widths (an odd W rounds its tail columns differently under some
-    OpenBLAS kernels); so a lone trial pays for 16 columns, not CHUNK_TRIALS.
+    (one per pair of bond_pairs) times one kick, exp(-i lambda_- t)
+    conj(exp(-i lambda_+ t)) with lambda_- = -3 pi/2 and lambda_+ = pi/2, which
+    is finite up to t = 3.8e307 (exp(2 pi i t) would overflow from 2.9e307).
+    The chunk is zero-padded to W, n rounded up to a multiple of _P_GRANULE,
+    because a gemm's columns round alike only at some widths (an odd W rounds
+    its tail columns differently under some OpenBLAS kernels); so a lone trial
+    pays for 16 columns, not CHUNK_TRIALS.
     Q evolves all four products for q_durations[j] in a (dim, 4, n) chunk,
     trial j in [..., j], by chain.evolve in place. Each durations array has one
     column per pulse, or one column that every pulse shares (common mode, as
     _draws gives it): then P's kicks and Q's coefficients are computed once per
-    chunk, the same bits. Every reduction reads each trial's column alone, so
-    no result depends on the chunk. NaN or infinite durations give NaN.
+    chunk and broadcast to every pulse, the same bits. Every reduction reads
+    each trial's column alone, so no result depends on the chunk. NaN or
+    infinite durations give NaN.
     """
     frame, targets, ideal = _lab()
     bonds = [pulse.bond for pulse in ideal]
@@ -399,13 +403,11 @@ def _run_chunk(initial: list[int], p_durations: np.ndarray,
     psi = np.zeros((sector.dim, _P_GRANULE * math.ceil(n / _P_GRANULE)), dtype=np.complex128)
     psi[:, :n] = frame.vectors[:, initial]
     rotated = np.empty_like(psi)
-    singlets = math.comb(sector.n_spins - 2, sector.n_excitations - 1)  # a bond's: one excitation on its two spins
     phases = np.exp(_MINUS_I_LAMBDA[:, None, None] * p_durations.T)  # (2, width, n)
-    kicks = phases[0] * phases[1].conj()
-    for k, bond in enumerate(bonds):
-        if k < width:  # a shared column's kick serves every pulse
-            kick = kicks[k]
+    kicks = np.broadcast_to(phases[0] * phases[1].conj(), (len(bonds), n))  # a shared column serves every pulse
+    for bond, kick in zip(bonds, kicks):
         vectors, transpose = factors[bond]
+        singlets = len(sector.bond_pairs[bond]) // 2
         np.matmul(transpose, psi.view(np.float64), out=rotated.view(np.float64))
         rotated[:singlets, :n] *= kick
         np.matmul(vectors, rotated.view(np.float64), out=psi.view(np.float64))
@@ -544,7 +546,7 @@ def report(points: list[SweepPoint], p_mode: str = DEFAULT_P_MODE, q_mode: str =
 
 
 def write_csv(points: list[SweepPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text(points))
 
 
@@ -556,7 +558,7 @@ def csv_text(points: list[SweepPoint]) -> str:
 
 def read_csv(path) -> list[SweepPoint]:
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
     except UnicodeDecodeError as err:  # a ValueError whose message names no file
         raise ValueError(f"{path}: {err}") from None

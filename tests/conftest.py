@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kernel_variance
-from spinlogic import chain, encoding, linalg, noise
+from spinlogic import chain, encoding, noise
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -69,7 +69,7 @@ def textbook_pulse():
     def pulse(bond, t, state, sub):
         key = (bond, sub.n_spins, sub.n_excitations)
         if key not in eigensystems:
-            eigensystems[key] = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+            eigensystems[key] = np.linalg.eigh(chain.build_bond_hamiltonian(bond, sub))
         values, vectors = eigensystems[key]
         phases = np.exp(-1j * values * t)
         weights = phases if state.ndim == 1 else phases[:, None]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import chain, encoding, gates, linalg
+from spinlogic import chain, encoding, gates
 from spinlogic.pulses import Pulse, PulseSequence
 
 PI = math.pi
@@ -196,7 +196,7 @@ def test_eigh_lists_every_bonds_singlets_first(space):
     sub = _space(*space)
     pairs = 2 ** (n_spins - 2) if n_excitations is None else math.comb(n_spins - 2, n_excitations - 1)
     for bond in range(n_spins - 1):
-        values, _ = linalg.eig_hermitian(chain.build_bond_hamiltonian(bond, sub))
+        values, _ = np.linalg.eigh(chain.build_bond_hamiltonian(bond, sub))
         np.testing.assert_allclose(values, [-1.5 * PI] * pairs + [PI / 2] * (sub.dim - pairs), rtol=1e-15)
 
 
@@ -329,6 +329,8 @@ def test_a_bond_pulse_changes_nothing_on_its_subspace():
         assert np.array_equal(chain.apply_bond_pulse(bond, t, state, sub), evolved)
         assert not np.array_equal(state, evolved)  # the wrapper pulsed a copy
     chain.evolve([3, 0], np.array([[0.5, 2.0], [1.5, -0.25]]), np.stack([block, block], axis=2), sub)
+    idle = gates.simulate(PulseSequence("idle", ()), vec, sub)  # no pulses: a copy, not an IndexError
+    assert idle is not vec and idle.tobytes() == vec.tobytes()
     assert pickle.dumps(vars(sub)) == snapshot
 
 

@@ -86,19 +86,24 @@ def recorded(name, solver):
 
 for name in ("eig", "eigh", "eigvals", "eigvalsh"):
     setattr(numpy.linalg, name, recorded(name, getattr(numpy.linalg, name)))
-from spinlogic import cli, encoding, gates
+from spinlogic import cli, encoding, gates, noise
 status = cli.main(["verify"])
 random_after_verify = "numpy.random" in sys.modules
 frame = encoding.pair_frame()
 gates.simulate(gates.swap_sequence(), frame.vectors[:, :4], frame.subspace)
+before_sweeps = len(eigensolver_calls)
+noise.sweep([1e-3], n_runs=2)
+noise.sweep([1e-3], n_runs=2, p_mode="independent", q_mode="common")
 print(json.dumps({"verify_status": status, "eager": eager, "random_after_verify": random_after_verify,
-                  "eigensolver_calls": eigensolver_calls}))
+                  "eigensolver_calls": eigensolver_calls[:before_sweeps],
+                  "sweep_eigensolver_calls": eigensolver_calls[before_sweeps:]}))
 """
 
 
 @pytest.fixture(scope="module")
 def verify_in_a_fresh_process(fresh_python):
-    """One `verify` then one swap simulate in a fresh process, read by the two tests of what that process does."""
+    """One `verify`, one swap simulate and two small sweeps in a fresh process, read by the tests of what that
+    process does."""
     done = fresh_python("-c", _VERIFY_IN_A_FRESH_PROCESS)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -116,6 +121,11 @@ def test_verify_and_the_swap_call_no_eigensolver(verify_in_a_fresh_process):
     """Every pulse of verify and simulate takes chain.evolve's closed form; only the sweep's P pulses diagonalize."""
     assert verify_in_a_fresh_process["verify_status"] == 0
     assert verify_in_a_fresh_process["eigensolver_calls"] == []
+
+
+def test_only_the_sweeps_p_factors_diagonalize(verify_in_a_fresh_process):
+    """Two sweeps, one per mode pairing, diagonalize once per bond of the 6-spin sector: P's factors, built once."""
+    assert verify_in_a_fresh_process["sweep_eigensolver_calls"] == ["eigh"] * 5
 
 
 def test_verify_single_check_prints_the_measured_swap_phase(capsys):
@@ -606,6 +616,20 @@ def test_fit_rejects_a_csv_that_is_not_text_with_one_line_naming_it(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"{csv}: 'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"]
+
+
+def test_config_and_csv_files_are_read_as_utf8_under_a_c_locale(tmp_path, fresh_python):
+    """Python reads the locale when it starts, so only a fresh process shows which encoding open() falls back to."""
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    config, csv = tmp_path / "run.cfg", tmp_path / "bad.csv"
+    config.write_bytes(f"# fünf\neps = 1e-3\nn-runs = 2\nout = {tmp_path / 'sweep.csv'}\n".encode())
+    csv.write_bytes(b"\xc3" + noise.CSV_HEADER.encode() + b"\n")
+    swept = fresh_python("-m", "spinlogic", "sweep", "--config", str(config), **c_locale)
+    assert swept.returncode == 0, swept.stderr
+    fitted = fresh_python("-m", "spinlogic", "fit", "--csv", str(csv), **c_locale)
+    assert fitted.returncode == 2
+    assert fitted.stderr.splitlines() == [f"{csv}: 'utf-8' codec can't decode byte 0xc3 in position 0: invalid "
+                                          "continuation byte"]
 
 
 def test_fit_prints_what_the_release_sweep_printed_after_its_header(tmp_path, capsys, monkeypatch):
